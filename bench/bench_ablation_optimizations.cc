@@ -13,6 +13,8 @@
 
 #include "algebra/atom_algebra.h"
 #include "expr/expr.h"
+#include "molecule/derivation.h"
+#include "molecule/operations.h"
 #include "mql/session.h"
 #include "workload/geo.h"
 
@@ -112,14 +114,42 @@ void BM_PointLookup_Indexed(benchmark::State& state) {
 }
 BENCHMARK(BM_PointLookup_Indexed)->Arg(200)->Arg(800);
 
-void RunSelectiveQuery(benchmark::State& state, bool pushdown) {
+/// Pushdown off: the WHERE through the operators DefineMoleculeType and
+/// RestrictMolecules, which derive every molecule and then restrict.
+void RunDeriveThenRestrict(benchmark::State& state, const e::ExprPtr& where) {
   auto& f = AblationFixture::Get(state, false);
   if (f.db == nullptr) return;
-  mad::mql::SessionOptions options;
-  options.enable_root_pushdown = pushdown;
-  mad::mql::Session session(f.db.get(), options);
-  const char* query =
-      "SELECT ALL FROM m(state-area-edge-point) WHERE state.name = 'S1';";
+  auto md = mad::MoleculeDescription::CreateFromTypes(
+      *f.db, {"state", "area", "edge", "point"},
+      {{"state-area", "state", "area", false},
+       {"area-edge", "area", "edge", false},
+       {"edge-point", "edge", "point", false}});
+  if (!md.ok()) {
+    state.SkipWithError(md.status().ToString().c_str());
+    return;
+  }
+  size_t molecules = 0;
+  for (auto _ : state) {
+    auto derived = mad::DefineMoleculeType(*f.db, "m", *md);
+    if (!derived.ok()) {
+      state.SkipWithError(derived.status().ToString().c_str());
+      return;
+    }
+    auto result = mad::RestrictMolecules(*f.db, *derived, where, "m", 0);
+    if (!result.ok()) {
+      state.SkipWithError(result.status().ToString().c_str());
+      return;
+    }
+    molecules = result->size();
+  }
+  state.counters["molecules"] = static_cast<double>(molecules);
+}
+
+/// Pushdown on: the same WHERE through the MQL session.
+void RunPushdownQuery(benchmark::State& state, const char* query) {
+  auto& f = AblationFixture::Get(state, false);
+  if (f.db == nullptr) return;
+  mad::mql::Session session(f.db.get());
   size_t molecules = 0;
   for (auto _ : state) {
     auto result = session.Execute(query);
@@ -133,41 +163,29 @@ void RunSelectiveQuery(benchmark::State& state, bool pushdown) {
 }
 
 void BM_SelectiveQuery_NoPushdown(benchmark::State& state) {
-  RunSelectiveQuery(state, false);
+  RunDeriveThenRestrict(state, e::Eq(e::Attr("state", "name"), e::Lit("S1")));
 }
 BENCHMARK(BM_SelectiveQuery_NoPushdown)->Arg(50)->Arg(200)->Arg(800);
 
 void BM_SelectiveQuery_Pushdown(benchmark::State& state) {
-  RunSelectiveQuery(state, true);
+  RunPushdownQuery(
+      state,
+      "SELECT ALL FROM m(state-area-edge-point) WHERE state.name = 'S1';");
 }
 BENCHMARK(BM_SelectiveQuery_Pushdown)->Arg(50)->Arg(200)->Arg(800);
 
-void RunUnselectiveQuery(benchmark::State& state, bool pushdown) {
-  // Sanity companion: with an unselective root predicate the pushdown
-  // cannot help (derives nearly everything either way).
-  auto& f = AblationFixture::Get(state, false);
-  if (f.db == nullptr) return;
-  mad::mql::SessionOptions options;
-  options.enable_root_pushdown = pushdown;
-  mad::mql::Session session(f.db.get(), options);
-  const char* query =
-      "SELECT ALL FROM m(state-area-edge-point) WHERE state.hectare >= 0;";
-  for (auto _ : state) {
-    auto result = session.Execute(query);
-    if (!result.ok()) {
-      state.SkipWithError(result.status().ToString().c_str());
-      return;
-    }
-  }
-}
-
+// Sanity companion: with an unselective root predicate the pushdown cannot
+// help (derives nearly everything either way).
 void BM_UnselectiveQuery_NoPushdown(benchmark::State& state) {
-  RunUnselectiveQuery(state, false);
+  RunDeriveThenRestrict(
+      state, e::Ge(e::Attr("state", "hectare"), e::Lit(int64_t{0})));
 }
 BENCHMARK(BM_UnselectiveQuery_NoPushdown)->Arg(200);
 
 void BM_UnselectiveQuery_Pushdown(benchmark::State& state) {
-  RunUnselectiveQuery(state, true);
+  RunPushdownQuery(
+      state,
+      "SELECT ALL FROM m(state-area-edge-point) WHERE state.hectare >= 0;");
 }
 BENCHMARK(BM_UnselectiveQuery_Pushdown)->Arg(200);
 

@@ -16,7 +16,7 @@
 #include "expr/expr.h"
 #include "molecule/derivation.h"
 #include "molecule/operations.h"
-#include "molecule/qualification.h"
+#include "support/molecule_qualifier.h"
 #include "mql/session.h"
 #include "workload/geo.h"
 
@@ -187,12 +187,35 @@ void BM_SigmaCompiled(benchmark::State& state) {
 BENCHMARK(BM_SigmaCompiled)->Args({100, 1})->Args({400, 1})->Args({400, 4});
 
 /// End-to-end MQL: derivation with the WHERE fused in (pushdown on) vs
-/// derive-everything-then-restrict (pushdown off).
-void RunSelect(benchmark::State& state, bool pushdown) {
+/// derive-everything-then-restrict (pushdown off, the same WHERE through
+/// the operators DefineMoleculeType and RestrictMolecules).
+void BM_SelectPushdownOff(benchmark::State& state) {
+  auto& f = QualFixture::Get(state);
+  if (f.db == nullptr) return;
+  auto pred = DeepPredicate();
+  size_t size = 0;
+  for (auto _ : state) {
+    auto derived = mad::DefineMoleculeType(*f.db, "m", f.mt->description(),
+                                           mad::DerivationOptions{1});
+    if (!derived.ok()) {
+      state.SkipWithError(derived.status().ToString().c_str());
+      return;
+    }
+    auto result = mad::RestrictMolecules(*f.db, *derived, pred, "m", 1);
+    if (!result.ok()) {
+      state.SkipWithError(result.status().ToString().c_str());
+      return;
+    }
+    size = result->size();
+    benchmark::DoNotOptimize(&result);
+  }
+  state.counters["result_molecules"] = static_cast<double>(size);
+}
+
+void BM_SelectPushdownOn(benchmark::State& state) {
   auto& f = QualFixture::Get(state);
   if (f.db == nullptr) return;
   mad::mql::SessionOptions options;
-  options.enable_root_pushdown = pushdown;
   options.parallelism = 1;
   mad::mql::Session session(f.db.get(), options);
   const std::string query =
@@ -208,13 +231,6 @@ void RunSelect(benchmark::State& state, bool pushdown) {
     benchmark::DoNotOptimize(&result);
   }
   state.counters["result_molecules"] = static_cast<double>(size);
-}
-
-void BM_SelectPushdownOff(benchmark::State& state) {
-  RunSelect(state, false);
-}
-void BM_SelectPushdownOn(benchmark::State& state) {
-  RunSelect(state, true);
 }
 BENCHMARK(BM_SelectPushdownOff)->Arg(100)->Arg(400);
 BENCHMARK(BM_SelectPushdownOn)->Arg(100)->Arg(400);

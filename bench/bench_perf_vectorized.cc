@@ -164,13 +164,36 @@ void BM_VecSigmaBatch(benchmark::State& state) {
 BENCHMARK(BM_VecSigmaBatch)->Args({400, 1})->Args({400, 4})->Args({400, 8});
 
 /// End-to-end MQL without an index: the columnar scan seed prunes the root
-/// fan-out from the kernel's pass bitmap (vs the same query with pushdown
-/// disabled, which derives everything and then restricts).
-void RunScanSeedSelect(benchmark::State& state, bool pushdown) {
+/// fan-out from the kernel's pass bitmap (vs the same WHERE through the
+/// operators DefineMoleculeType and RestrictMolecules, which derive
+/// everything and then restrict).
+void BM_VecSelectScanSeedOff(benchmark::State& state) {
+  auto& f = VecFixture::Get(state);
+  if (f.db == nullptr) return;
+  auto pred = e::Gt(e::Attr("state", "hectare"), e::Lit(int64_t{9000}));
+  size_t size = 0;
+  for (auto _ : state) {
+    auto derived = mad::DefineMoleculeType(*f.db, "m", f.mt->description(),
+                                           mad::DerivationOptions{1});
+    if (!derived.ok()) {
+      state.SkipWithError(derived.status().ToString().c_str());
+      return;
+    }
+    auto result = mad::RestrictMolecules(*f.db, *derived, pred, "m", 1);
+    if (!result.ok()) {
+      state.SkipWithError(result.status().ToString().c_str());
+      return;
+    }
+    size = result->size();
+    benchmark::DoNotOptimize(&result);
+  }
+  state.counters["result_molecules"] = static_cast<double>(size);
+}
+
+void BM_VecSelectScanSeedOn(benchmark::State& state) {
   auto& f = VecFixture::Get(state);
   if (f.db == nullptr) return;
   mad::mql::SessionOptions options;
-  options.enable_root_pushdown = pushdown;
   options.parallelism = 1;
   mad::mql::Session session(f.db.get(), options);
   const std::string query =
@@ -186,13 +209,6 @@ void RunScanSeedSelect(benchmark::State& state, bool pushdown) {
     benchmark::DoNotOptimize(&result);
   }
   state.counters["result_molecules"] = static_cast<double>(size);
-}
-
-void BM_VecSelectScanSeedOff(benchmark::State& state) {
-  RunScanSeedSelect(state, false);
-}
-void BM_VecSelectScanSeedOn(benchmark::State& state) {
-  RunScanSeedSelect(state, true);
 }
 BENCHMARK(BM_VecSelectScanSeedOff)->Arg(400);
 BENCHMARK(BM_VecSelectScanSeedOn)->Arg(400);

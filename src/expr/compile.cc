@@ -3,10 +3,150 @@
 #include <algorithm>
 
 #include "expr/eval.h"
-#include "molecule/qualification.h"
 
 namespace mad {
 namespace expr {
+
+namespace {
+
+/// False when projection narrowing hides `attribute` on `node`.
+bool Visible(const MoleculeNode& node, const std::string& attribute) {
+  return !node.attributes.has_value() ||
+         std::find(node.attributes->begin(), node.attributes->end(),
+                   attribute) != node.attributes->end();
+}
+
+}  // namespace
+
+Result<size_t> ResolveAttributeNode(const Database& db,
+                                    const MoleculeDescription& md,
+                                    const Expr& ref) {
+  const std::string& attr = ref.attribute();
+  const size_t kNone = static_cast<size_t>(-1);
+  size_t node_idx = kNone;
+  if (!ref.qualifier().empty()) {
+    MAD_ASSIGN_OR_RETURN(node_idx, md.ResolveQualifier(ref.qualifier()));
+    const MoleculeNode& mn = md.nodes()[node_idx];
+    MAD_ASSIGN_OR_RETURN(const AtomType* at, db.GetAtomType(mn.type_name));
+    if (!at->description().HasAttribute(attr)) {
+      return Status::NotFound("node '" + mn.label + "' has no attribute '" +
+                              attr + "'");
+    }
+  } else {
+    // Unqualified: the attribute must be visible in exactly one node.
+    for (size_t i = 0; i < md.nodes().size(); ++i) {
+      MAD_ASSIGN_OR_RETURN(const AtomType* at,
+                           db.GetAtomType(md.nodes()[i].type_name));
+      if (!at->description().HasAttribute(attr) ||
+          !Visible(md.nodes()[i], attr)) {
+        continue;
+      }
+      if (node_idx != kNone) {
+        return Status::InvalidArgument("ambiguous attribute '" + attr +
+                                       "' (qualify it with a node label)");
+      }
+      node_idx = i;
+    }
+    if (node_idx == kNone) {
+      return Status::NotFound("attribute '" + attr +
+                              "' occurs in no node of the description");
+    }
+  }
+  // Projection narrowing hides attributes even under a qualifier.
+  if (!Visible(md.nodes()[node_idx], attr)) {
+    return Status::NotFound("attribute '" + attr +
+                            "' was projected away from node '" +
+                            md.nodes()[node_idx].label + "'");
+  }
+  return node_idx;
+}
+
+namespace {
+
+bool ContainsForAll(const Expr& expr) {
+  if (expr.kind() == Expr::Kind::kForAll) return true;
+  if (expr.left() != nullptr && ContainsForAll(*expr.left())) return true;
+  return expr.right() != nullptr && ContainsForAll(*expr.right());
+}
+
+/// Rewrites every attribute reference to label-qualified form, validating
+/// existence and attribute narrowing along the way.
+Result<ExprPtr> ResolveRefs(const Database& db, const MoleculeDescription& md,
+                            const ExprPtr& node) {
+  switch (node->kind()) {
+    case Expr::Kind::kLiteral:
+      return node;
+    case Expr::Kind::kAttrRef: {
+      MAD_ASSIGN_OR_RETURN(size_t idx, ResolveAttributeNode(db, md, *node));
+      return Expr::MakeAttrRef(md.nodes()[idx].label, node->attribute());
+    }
+    case Expr::Kind::kCompare:
+    case Expr::Kind::kArith:
+    case Expr::Kind::kAnd:
+    case Expr::Kind::kOr:
+    case Expr::Kind::kNot: {
+      MAD_ASSIGN_OR_RETURN(ExprPtr lhs, ResolveRefs(db, md, node->left()));
+      ExprPtr rhs;
+      if (node->right() != nullptr) {
+        MAD_ASSIGN_OR_RETURN(rhs, ResolveRefs(db, md, node->right()));
+      }
+      return node->WithOperands(std::move(lhs), std::move(rhs));
+    }
+    case Expr::Kind::kCount: {
+      MAD_ASSIGN_OR_RETURN(size_t node_idx,
+                           md.ResolveQualifier(node->qualifier()));
+      return Expr::MakeCount(md.nodes()[node_idx].label);
+    }
+    case Expr::Kind::kForAll: {
+      MAD_ASSIGN_OR_RETURN(size_t node_idx,
+                           md.ResolveQualifier(node->qualifier()));
+      const std::string& label = md.nodes()[node_idx].label;
+      if (ContainsForAll(*node->left())) {
+        return Status::Unsupported("nested FORALL is not supported");
+      }
+      MAD_ASSIGN_OR_RETURN(ExprPtr inner, ResolveRefs(db, md, node->left()));
+      // The quantified predicate may reference only the quantified node
+      // (plus molecule-level COUNTs); mixing quantifiers stays out of
+      // scope.
+      std::vector<const Expr*> refs;
+      inner->CollectAttrRefs(&refs);
+      for (const Expr* ref : refs) {
+        if (ref->qualifier() != label) {
+          return Status::InvalidArgument(
+              "FORALL " + label + ": predicate may only reference '" + label +
+              "', found '" + ref->qualifier() + "." + ref->attribute() + "'");
+        }
+      }
+      return Expr::MakeForAll(label, std::move(inner));
+    }
+  }
+  return Status::Internal("unknown expression kind");
+}
+
+}  // namespace
+
+void CollectQualifierLabels(const Expr& expr, std::vector<std::string>* out) {
+  std::vector<const Expr*> refs;
+  expr.CollectAttrRefs(&refs);
+  for (const Expr* ref : refs) {
+    if (std::find(out->begin(), out->end(), ref->qualifier()) == out->end()) {
+      out->push_back(ref->qualifier());
+    }
+  }
+}
+
+Result<ExprPtr> ResolveQualification(const Database& db,
+                                     const MoleculeDescription& md,
+                                     const ExprPtr& predicate) {
+  if (predicate == nullptr) {
+    return Status::InvalidArgument("qualification predicate must be non-null");
+  }
+  if (!predicate->IsPredicate()) {
+    return Status::InvalidArgument("expression " + predicate->ToString() +
+                                   " is not a predicate");
+  }
+  return ResolveRefs(db, md, predicate);
+}
 
 Result<CompiledPredicate> CompiledPredicate::Compile(
     const Database& db, const MoleculeDescription& md, const ExprPtr& predicate,
@@ -86,8 +226,8 @@ void CompiledPredicate::PlanBatch(const std::optional<ReadView>& view) {
 // ---- Compilation ------------------------------------------------------------
 
 Result<int32_t> CompiledPredicate::BuildBool(const Expr& expr) {
-  // Mirrors MoleculeQualifier::EvalBoolean: AND/OR/NOT and top-level FORALL
-  // split recursively, everything else is one existential leaf.
+  // Mirrors the interpreter's boolean walk: AND/OR/NOT and top-level
+  // FORALL split recursively, everything else is one existential leaf.
   switch (expr.kind()) {
     case Expr::Kind::kAnd:
     case Expr::Kind::kOr: {

@@ -32,13 +32,12 @@ namespace expr {
 /// Atom*` rows. Per-molecule evaluation does no shared_ptr tree walks, no
 /// string lookups, and no SubstituteCounts expression rebuilds.
 ///
-/// Semantics contract: bit-for-bit identical to the tree interpreter
-/// (MoleculeQualifier::Matches) — same verdicts, same error messages, same
-/// error timing. The interpreter stays authoritative; differential tests
-/// hold this class to it. The shared pieces (ApplyCompare / ApplyArith /
-/// RequireBool in expr/eval.h, ResolveQualification / CollectQualifierLabels
-/// in molecule/qualification.h) make the equivalence structural rather than
-/// coincidental.
+/// Semantics contract: bit-for-bit identical to the tree interpreter the
+/// differential tests keep as their oracle — same verdicts, same error
+/// messages, same error timing. The shared pieces (ApplyCompare /
+/// ApplyArith / RequireBool in expr/eval.h, ResolveQualification /
+/// CollectQualifierLabels below) make the equivalence structural rather
+/// than coincidental.
 ///
 /// Lifetime: a compiled predicate borrows the database's atom stores and
 /// schemas. It stays valid only while the database is not mutated — the
@@ -74,12 +73,11 @@ class CompiledPredicate {
     std::vector<AtomSpan> spans_;
   };
 
-  /// Resolves `predicate` against `md` (identical acceptance to
-  /// MoleculeQualifier::Create) and compiles it. The database and the
-  /// description must outlive the compiled predicate. With `view`, the
-  /// dense row tables are built from the versions visible at that epoch
-  /// instead of the head (DESIGN.md §11), so evaluation binds exactly the
-  /// atoms a reader pinned there would see.
+  /// Resolves `predicate` against `md` (ResolveQualification) and compiles
+  /// it. The database and the description must outlive the compiled
+  /// predicate. With `view`, the dense row tables are built from the
+  /// versions visible at that epoch instead of the head (DESIGN.md §11), so
+  /// evaluation binds exactly the atoms a reader pinned there would see.
   static Result<CompiledPredicate> Compile(
       const Database& db, const MoleculeDescription& md,
       const ExprPtr& predicate, std::optional<ReadView> view = std::nullopt,
@@ -256,6 +254,29 @@ class CompiledPredicate {
   /// filled at first evaluation and read-only afterwards.
   std::vector<std::unique_ptr<LeafBatch>> leaf_batches_;
 };
+
+/// The description node the attribute reference `ref` binds to: its
+/// qualifier's node (a label, else a unique atom-type name) or, unqualified,
+/// the one node whose visible attributes include it. The attribute must
+/// exist there and must not be projected away.
+Result<size_t> ResolveAttributeNode(const Database& db,
+                                    const MoleculeDescription& md,
+                                    const Expr& ref);
+
+/// Rewrites every attribute reference of `predicate` to label-qualified
+/// form against `md`, validating attribute existence, projection narrowing,
+/// COUNT/FORALL qualifiers, and the FORALL scoping rules along the way: the
+/// acceptance rule of CompiledPredicate::Compile, shared with the
+/// interpreter oracle so both accept exactly the same predicates.
+Result<ExprPtr> ResolveQualification(const Database& db,
+                                     const MoleculeDescription& md,
+                                     const ExprPtr& predicate);
+
+/// Collects the distinct qualifiers of `expr`'s attribute references in
+/// first-reference (pre-order) order: the binding-loop order of existential
+/// evaluation, shared with the interpreter oracle so both enumerate
+/// witnesses identically.
+void CollectQualifierLabels(const Expr& expr, std::vector<std::string>* out);
 
 }  // namespace expr
 }  // namespace mad

@@ -89,6 +89,13 @@ bool Expr::IsPredicate() const {
   return false;
 }
 
+ExprPtr Expr::WithOperands(ExprPtr lhs, ExprPtr rhs) const {
+  auto e = std::shared_ptr<Expr>(new Expr(*this));
+  e->left_ = std::move(lhs);
+  e->right_ = std::move(rhs);
+  return e;
+}
+
 ExprPtr Expr::MakeLiteral(Value v) {
   auto e = std::shared_ptr<Expr>(new Expr(Kind::kLiteral));
   e->literal_ = std::move(v);

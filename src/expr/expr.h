@@ -79,6 +79,9 @@ class Expr {
   /// True iff this node can produce a boolean (predicate position).
   bool IsPredicate() const;
 
+  /// A copy of this node over new operands (`rhs` null for NOT and FORALL).
+  ExprPtr WithOperands(ExprPtr lhs, ExprPtr rhs) const;
+
   // Factories (use the free builder functions below for brevity).
   static ExprPtr MakeLiteral(Value v);
   static ExprPtr MakeAttrRef(std::string qualifier, std::string attribute);

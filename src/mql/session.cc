@@ -5,12 +5,12 @@
 
 #include "expr/compile.h"
 #include "expr/eval.h"
+#include "expr/kernels.h"
 #include "molecule/derivation.h"
 #include "molecule/operations.h"
 #include "mql/optimizer.h"
 #include "mql/parser.h"
 #include "mql/sema.h"
-#include "mql/translator.h"
 #include "text/printer.h"
 #include "util/metrics.h"
 #include "util/string_util.h"
@@ -29,103 +29,194 @@ std::atomic<uint64_t> g_next_session_id{1};
 /// Head lookup, or version lookup when the head holds versions the view
 /// must not see (another transaction's pending writes).
 const Atom* FindAtView(const AtomStore& store, AtomId id,
-                       const std::optional<ReadView>& view) {
-  if (view.has_value() && !store.HeadVisibleAt(*view)) {
-    return store.FindVersionAt(id, *view);
-  }
-  return store.Find(id);
+                       const ReadView& view) {
+  return store.HeadVisibleAt(view) ? store.Find(id)
+                                   : store.FindVersionAt(id, view);
 }
 
-/// Evaluates a WHERE predicate over one recursive molecule. Permitted
-/// qualifiers: "root" (binds the root atom only), the recursion's atom
-/// type (existential over the closure members), or none (unqualified
-/// attributes of the atom type).
-class RecursiveQualifier {
- public:
-  RecursiveQualifier(const Database& db, const RecursiveDescription& rd,
-                     const expr::ExprPtr& predicate,
-                     std::optional<ReadView> view = std::nullopt)
-      : db_(db), rd_(rd), predicate_(predicate), view_(view) {}
-
-  Result<bool> Matches(const RecursiveMolecule& m) const {
-    return EvalBoolean(*predicate_, m);
+/// Root ids the plan's seed fans the derivation out over, or nullopt for
+/// every root. Both seeds restore occurrence order, so seeded derivation
+/// stays bit-identical to the unseeded scan.
+using Roots = std::optional<std::vector<AtomId>>;
+Result<Roots> SeedRoots(const Database& db, const SelectPlan& plan) {
+  const PushdownPlan& pushdown = plan.pushdown;
+  if (!pushdown.seed.has_value() && !pushdown.scan_seed.has_value()) {
+    return Roots();
   }
-
- private:
-  Result<bool> EvalBoolean(const expr::Expr& e,
-                           const RecursiveMolecule& m) const {
-    using K = expr::Expr::Kind;
-    switch (e.kind()) {
-      case K::kAnd: {
-        MAD_ASSIGN_OR_RETURN(bool lhs, EvalBoolean(*e.left(), m));
-        if (!lhs) return false;
-        return EvalBoolean(*e.right(), m);
-      }
-      case K::kOr: {
-        MAD_ASSIGN_OR_RETURN(bool lhs, EvalBoolean(*e.left(), m));
-        if (lhs) return true;
-        return EvalBoolean(*e.right(), m);
-      }
-      case K::kNot: {
-        MAD_ASSIGN_OR_RETURN(bool operand, EvalBoolean(*e.left(), m));
-        return !operand;
-      }
-      default:
-        return EvalExistential(e, m);
+  const std::string& type = plan.description->root_node().type_name;
+  MAD_ASSIGN_OR_RETURN(const AtomType* root_at, db.GetAtomType(type));
+  const AtomStore& store = root_at->occurrence();
+  std::vector<AtomId> roots;
+  if (pushdown.seed.has_value()) {
+    // Bucket order is index insertion order, which diverges from occurrence
+    // order after updates.
+    const IndexSeed& seed = *pushdown.seed;
+    ScopedSpan span("index-seed", type + "." + seed.attribute + " = " +
+                                      seed.value.ToString());
+    span.set_rows_in(static_cast<int64_t>(store.size()));
+    const std::vector<AtomId>& bucket = seed.index->Lookup(seed.value);
+    std::vector<std::pair<size_t, AtomId>> ordered;
+    ordered.reserve(bucket.size());
+    for (AtomId id : bucket) {
+      std::optional<size_t> pos = store.PositionOf(id);
+      if (pos.has_value()) ordered.emplace_back(*pos, id);
     }
+    std::sort(ordered.begin(), ordered.end());
+    roots.reserve(ordered.size());
+    for (const auto& [pos, id] : ordered) roots.push_back(id);
+    span.set_rows_out(static_cast<int64_t>(roots.size()));
+    return Roots(std::move(roots));
   }
+  // The batch compare kernel over the whole root column; the row order is
+  // occurrence order by construction.
+  const ScanSeed& seed = *pushdown.scan_seed;
+  ScopedSpan span("seed-scan", type + ": " + seed.display);
+  const ColumnSet& columns = store.columns();
+  span.set_rows_in(static_cast<int64_t>(columns.rows()));
+  expr::RowBitmaps bits;
+  if (!expr::BuildCompareBitmaps(*columns.column(seed.value_slot),
+                                 columns.rows(), seed.op, seed.value,
+                                 seed.attr_on_left, &bits) ||
+      bits.any_err) {
+    return Roots();  // the error surfaces through ordinary evaluation
+  }
+  for (size_t r = 0; r < columns.rows(); ++r) {
+    if (bits.Pass(r)) roots.push_back(columns.IdAt(r));
+  }
+  span.set_rows_out(static_cast<int64_t>(roots.size()));
+  return Roots(std::move(roots));
+}
 
-  Result<bool> EvalExistential(const expr::Expr& e,
-                               const RecursiveMolecule& m) const {
-    std::vector<const expr::Expr*> refs;
-    e.CollectAttrRefs(&refs);
-    bool needs_root = false;
-    bool needs_member = false;
-    for (const expr::Expr* ref : refs) {
-      if (ref->qualifier() == "root") {
-        needs_root = true;
-      } else if (ref->qualifier().empty() ||
-                 ref->qualifier() == rd_.atom_type) {
-        needs_member = true;
-      } else {
-        return Status::InvalidArgument(
-            "recursive queries allow the qualifiers 'root' and '" +
-            rd_.atom_type + "'; found '" + ref->qualifier() + "'");
+/// Σ over the closures: the WHERE program runs once per closure, with the
+/// root bound to the closure's root atom and the member loops over every
+/// closure atom (the root included), in level order.
+Result<std::vector<RecursiveMolecule>> RestrictClosures(
+    const Database& db, const SelectPlan& plan, const ReadView& view,
+    std::vector<RecursiveMolecule> closures) {
+  ScopedSpan span("sigma", plan.where->ToString());
+  span.set_rows_in(static_cast<int64_t>(closures.size()));
+  MAD_ASSIGN_OR_RETURN(const AtomType* at,
+                       db.GetAtomType(plan.recursive->atom_type));
+  const AtomStore& store = at->occurrence();
+  const expr::CompiledPredicate& program = *plan.closure_program;
+  const std::vector<size_t>& loops = program.loop_nodes();
+  const bool bind_members = std::count(loops.begin(), loops.end(), 1) > 0;
+  expr::CompiledPredicate::Scratch scratch;
+  std::vector<const Atom*> members;
+  std::vector<RecursiveMolecule> kept;
+  for (RecursiveMolecule& m : closures) {
+    const Atom* root = FindAtView(store, m.root(), view);
+    members.clear();
+    for (size_t d = 0; bind_members && d < m.levels().size(); ++d) {
+      for (AtomId id : m.levels()[d]) {
+        members.push_back(FindAtView(store, id, view));
       }
     }
+    const expr::CompiledPredicate::AtomSpan groups[2] = {
+        {&root, 1}, {members.data(), members.size()}};
+    MAD_ASSIGN_OR_RETURN(bool hit, program.Eval(groups, scratch));
+    if (hit) kept.push_back(std::move(m));
+  }
+  span.set_rows_out(static_cast<int64_t>(kept.size()));
+  return kept;
+}
 
-    MAD_ASSIGN_OR_RETURN(const AtomType* at, db_.GetAtomType(rd_.atom_type));
-    const Schema& schema = at->description();
-    const Atom* root_atom = FindAtView(at->occurrence(), m.root(), view_);
-    if (root_atom == nullptr) {
-      return Status::Internal("recursive molecule root missing from store");
-    }
-
-    expr::BindingSet bindings;
-    if (needs_root) bindings.Bind("root", &schema, root_atom);
-    if (!needs_member) {
-      return expr::EvalPredicate(e, bindings);
-    }
-    // Existential over every closure member (the root included).
+/// Executes a recursive plan: closure, then Σ, then the expansion tail.
+Result<QueryResult> ExecuteRecursive(const Database& db,
+                                     const SelectPlan& plan,
+                                     const ReadView& view,
+                                     unsigned parallelism) {
+  QueryResult result;
+  result.epoch = view.epoch;
+  result.kind = QueryResult::Kind::kRecursive;
+  result.recursive_description = *plan.recursive;
+  MAD_ASSIGN_OR_RETURN(result.recursive,
+                       DeriveRecursiveMolecules(db, *plan.recursive, view));
+  if (plan.closure_program.has_value()) {
+    MAD_ASSIGN_OR_RETURN(
+        result.recursive,
+        RestrictClosures(db, plan, view, std::move(result.recursive)));
+  }
+  if (plan.expansion == nullptr) return result;
+  // One component molecule per closure member, derived only for the
+  // closures that survived Σ. One engine serves every closure: the
+  // adjacency snapshot is built once, not once per recursive molecule.
+  DerivationOptions dopts{parallelism};
+  dopts.view = view;
+  MAD_ASSIGN_OR_RETURN(DerivationEngine engine,
+                       DerivationEngine::Create(db, *plan.expansion, dopts));
+  DerivationStats totals;
+  for (const RecursiveMolecule& m : result.recursive) {
+    ScopedSpan span("expand", "root #" + std::to_string(m.root().value));
+    std::vector<AtomId> members;
     for (const auto& level : m.levels()) {
-      for (AtomId id : level) {
-        const Atom* atom = FindAtView(at->occurrence(), id, view_);
-        if (atom == nullptr) {
-          return Status::Internal("recursive molecule atom missing from store");
-        }
-        bindings.Bind(rd_.atom_type, &schema, atom);
-        MAD_ASSIGN_OR_RETURN(bool hit, expr::EvalPredicate(e, bindings));
-        if (hit) return true;
-      }
+      members.insert(members.end(), level.begin(), level.end());
     }
-    return false;
+    span.set_rows_in(static_cast<int64_t>(members.size()));
+    DerivationStats stats;
+    MAD_ASSIGN_OR_RETURN(std::vector<Molecule> components,
+                         engine.DeriveForRoots(members, &stats));
+    span.set_rows_out(static_cast<int64_t>(components.size()));
+    totals.roots += stats.roots;
+    totals.atoms_visited += stats.atoms_visited;
+    totals.links_scanned += stats.links_scanned;
+    totals.threads_used = std::max(totals.threads_used, stats.threads_used);
+    totals.wall_ms += stats.wall_ms;
+    result.recursive_components.push_back(std::move(components));
   }
+  result.expansion_description = *plan.expansion;
+  result.derivation = totals;
+  return result;
+}
 
-  const Database& db_;
-  const RecursiveDescription& rd_;
-  const expr::ExprPtr& predicate_;
-  std::optional<ReadView> view_;
-};
+/// Executes a plan: one DerivationEngine runs a with the pushed Σ fused in
+/// (node filters at group completion, the residual in the fan-out) over the
+/// seeded roots, then Π.
+Result<QueryResult> ExecutePlan(const Database& db, const SelectPlan& plan,
+                                const ReadView& view, unsigned parallelism) {
+  if (plan.recursive.has_value()) {
+    return ExecuteRecursive(db, plan, view, parallelism);
+  }
+  DerivationOptions dopts{parallelism};
+  dopts.view = view;
+  for (size_t i = 0; i < plan.node_programs.size(); ++i) {
+    dopts.node_filters.emplace_back(plan.pushdown.node_filters[i].node_index,
+                                    &plan.node_programs[i]);
+  }
+  if (plan.residual_program.has_value()) {
+    dopts.residual = &*plan.residual_program;
+  }
+  MAD_ASSIGN_OR_RETURN(Roots roots, SeedRoots(db, plan));
+  DerivationStats stats;
+  std::vector<Molecule> molecules;
+  {
+    // The fused Σ: rows_in counts the roots fanned out over, rows_out the
+    // molecules surviving the pushed programs.
+    std::optional<ScopedSpan> sigma;
+    if (plan.where != nullptr) sigma.emplace("sigma", plan.where->ToString());
+    MAD_ASSIGN_OR_RETURN(
+        DerivationEngine engine,
+        DerivationEngine::Create(db, *plan.description, dopts));
+    MAD_ASSIGN_OR_RETURN(molecules, roots.has_value()
+                                        ? engine.DeriveForRoots(*roots, &stats)
+                                        : engine.DeriveAll(&stats));
+    if (sigma.has_value()) {
+      sigma->set_rows_in(static_cast<int64_t>(stats.roots));
+      sigma->set_rows_out(static_cast<int64_t>(molecules.size()));
+    }
+  }
+  MoleculeType mt(plan.name, *plan.description, std::move(molecules));
+  if (plan.projection.has_value()) {
+    MAD_ASSIGN_OR_RETURN(mt,
+                         ProjectMolecules(db, mt, *plan.projection, plan.name));
+  }
+  QueryResult result;
+  result.epoch = view.epoch;
+  result.kind = QueryResult::Kind::kMolecules;
+  result.derivation = stats;
+  result.molecules = std::make_shared<MoleculeType>(std::move(mt));
+  return result;
+}
 
 }  // namespace
 
@@ -248,7 +339,7 @@ Result<QueryResult> Session::RunStatement(Statement statement) {
       [this](auto&& stmt) -> Result<QueryResult> {
         using T = std::decay_t<decltype(stmt)>;
         if constexpr (std::is_same_v<T, SelectStatement>) {
-          return RunSelect(std::move(stmt));
+          return RunSelect(stmt);
         } else if constexpr (std::is_same_v<T, CreateAtomTypeStatement>) {
           return RunCreateAtomType(std::move(stmt));
         } else if constexpr (std::is_same_v<T, CreateLinkTypeStatement>) {
@@ -295,250 +386,31 @@ Status Session::RegisterMoleculeType(const std::string& name,
   return Status::OK();
 }
 
-Result<QueryResult> Session::RunSelect(SelectStatement stmt) {
-  ScopedSpan select_span("select",
-                         stmt.from.molecule_name.empty()
-                             ? std::string()
-                             : stmt.from.molecule_name);
-  // The whole statement reads at one pinned epoch under a shared lock:
-  // concurrent sessions' commits queue behind it, so the engines' borrowed
-  // store pointers stay valid for the statement, and the pin keeps GC away
-  // from the snapshot's versions. With a transaction open the view is the
-  // transaction's (snapshot + its own uncommitted writes).
+Result<QueryResult> Session::RunSelect(const SelectStatement& stmt,
+                                       std::string* explain) {
+  ScopedSpan select_span("select", stmt.from.molecule_name);
+  // The whole statement plans and reads at one pinned epoch under a shared
+  // lock: concurrent sessions' commits queue behind it, so the plan's
+  // borrowed store pointers stay valid for the statement, and the pin keeps
+  // GC away from the snapshot's versions. With a transaction open the view
+  // is the transaction's (snapshot + its own uncommitted writes).
   ReaderLock read_lock(db_->mutex());
   // The per-statement pin protects the no-transaction, no-session-pin case;
   // CurrentView() then reads at exactly this pinned epoch.
   EpochPin pin = db_->PinEpoch();
   const ReadView view = CurrentView();
-  // Resolve the FROM clause into a molecule or recursive description.
-  std::optional<MoleculeDescription> md;
-  std::optional<RecursiveDescription> rd;
-  std::optional<MoleculeDescription> expansion;
-  std::string name = stmt.from.molecule_name.empty() ? "query"
-                                                     : stmt.from.molecule_name;
-
-  const StructureNode& root = *stmt.from.structure;
-  bool bare_identifier =
-      stmt.from.molecule_name.empty() && root.branches.empty();
-  auto registered = bare_identifier ? registry_.find(root.atom)
-                                    : registry_.end();
-  if (registered != registry_.end()) {
-    md = registered->second;
-    name = registered->first;
-  } else {
-    MAD_ASSIGN_OR_RETURN(TranslatedFrom translated,
-                         TranslateStructure(*db_, root));
-    md = std::move(translated.description);
-    rd = std::move(translated.recursive);
-    expansion = std::move(translated.recursive_expansion);
-    if (!stmt.from.molecule_name.empty() && md.has_value()) {
-      MAD_RETURN_IF_ERROR(RegisterMoleculeType(stmt.from.molecule_name, *md));
-    }
+  MAD_ASSIGN_OR_RETURN(SelectPlan plan,
+                       PlanSelect(*db_, registry_, stmt, view));
+  if (explain != nullptr) *explain = FormatSelectPlan(plan);
+  if (!stmt.from.molecule_name.empty() && plan.description != nullptr) {
+    MAD_RETURN_IF_ERROR(
+        RegisterMoleculeType(stmt.from.molecule_name, *plan.description));
   }
-
-  QueryResult result;
-  result.epoch = view.epoch;
-  if (rd.has_value()) {
-    // Recursive query: SELECT ALL only (the closure is the result).
-    if (!stmt.select_all) {
-      return Status::Unsupported(
-          "recursive queries support SELECT ALL projections only");
-    }
-    MAD_ASSIGN_OR_RETURN(std::vector<RecursiveMolecule> molecules,
-                         DeriveRecursiveMolecules(*db_, *rd, view));
-    result.kind = QueryResult::Kind::kRecursive;
-    result.recursive_description = *rd;
-    if (stmt.where != nullptr) {
-      ScopedSpan filter_span("sigma", stmt.where->ToString());
-      filter_span.set_rows_in(static_cast<int64_t>(molecules.size()));
-      RecursiveQualifier qualifier(*db_, *rd, stmt.where, view);
-      for (RecursiveMolecule& m : molecules) {
-        MAD_ASSIGN_OR_RETURN(bool hit, qualifier.Matches(m));
-        if (hit) result.recursive.push_back(std::move(m));
-      }
-      filter_span.set_rows_out(static_cast<int64_t>(result.recursive.size()));
-    } else {
-      result.recursive = std::move(molecules);
-    }
-    if (expansion.has_value()) {
-      // Expansion tail: one component molecule per closure member, derived
-      // only for the closures that survived the WHERE filter. One engine
-      // serves every closure — the adjacency snapshot is built once, not
-      // once per recursive molecule.
-      DerivationOptions dopts{options_.parallelism};
-      dopts.view = view;
-      MAD_ASSIGN_OR_RETURN(DerivationEngine engine,
-                           DerivationEngine::Create(*db_, *expansion, dopts));
-      DerivationStats totals;
-      for (const RecursiveMolecule& m : result.recursive) {
-        ScopedSpan expand_span(
-            "expand", "root #" + std::to_string(m.root().value));
-        std::vector<AtomId> members;
-        for (const auto& level : m.levels()) {
-          members.insert(members.end(), level.begin(), level.end());
-        }
-        expand_span.set_rows_in(static_cast<int64_t>(members.size()));
-        DerivationStats stats;
-        MAD_ASSIGN_OR_RETURN(std::vector<Molecule> components,
-                             engine.DeriveForRoots(members, &stats));
-        expand_span.set_rows_out(static_cast<int64_t>(components.size()));
-        totals.roots += stats.roots;
-        totals.atoms_visited += stats.atoms_visited;
-        totals.links_scanned += stats.links_scanned;
-        totals.threads_used = std::max(totals.threads_used, stats.threads_used);
-        totals.wall_ms += stats.wall_ms;
-        result.recursive_components.push_back(std::move(components));
-      }
-      result.expansion_description = std::move(expansion);
-      result.derivation = totals;
-    }
-    select_span.set_rows_out(static_cast<int64_t>(result.recursive.size()));
-    return result;
-  }
-
-  // Ch. 4 translation: a (definition) ∘ Σ (WHERE) ∘ Π (SELECT). With
-  // pushdown enabled the Σ is fused into the derivation: the WHERE clause
-  // is split per description node, each group compiled into a flat
-  // predicate program the engine evaluates the moment that node's group
-  // completes, the multi-node residue compiled into a program evaluated
-  // inside the parallel fan-out, and an indexed root equality seeds the
-  // root set from its AttributeIndex bucket.
-  expr::ExprPtr residual_where = stmt.where;
-  DerivationOptions dopts{options_.parallelism};
-  dopts.view = view;
-  DerivationStats dstats;
-  std::optional<MoleculeType> derived;
-  if (options_.enable_root_pushdown && stmt.where != nullptr) {
-    MAD_ASSIGN_OR_RETURN(PushdownPlan plan,
-                         PlanPredicatePushdown(*db_, *md, stmt.where));
-    // The programs live on this frame; the engine borrows them only for
-    // the derive call below.
-    std::vector<expr::CompiledPredicate> programs;
-    programs.reserve(plan.node_filters.size() + 1);
-    for (const NodeFilter& filter : plan.node_filters) {
-      MAD_ASSIGN_OR_RETURN(
-          expr::CompiledPredicate program,
-          expr::CompiledPredicate::Compile(*db_, *md, filter.predicate, view));
-      programs.push_back(std::move(program));
-    }
-    for (size_t i = 0; i < plan.node_filters.size(); ++i) {
-      dopts.node_filters.emplace_back(plan.node_filters[i].node_index,
-                                      &programs[i]);
-    }
-    if (plan.residual != nullptr) {
-      MAD_ASSIGN_OR_RETURN(
-          expr::CompiledPredicate residual_program,
-          expr::CompiledPredicate::Compile(*db_, *md, plan.residual, view));
-      programs.push_back(std::move(residual_program));
-      dopts.residual = &programs.back();
-    }
-    residual_where = nullptr;  // the engine consumes the whole WHERE
-
-    // Root seeding: take the index bucket instead of scanning the whole
-    // occurrence. Bucket order is index insertion order, which diverges
-    // from occurrence order after updates, so restore occurrence order —
-    // seeded derivation stays bit-identical to the unseeded scan. The
-    // index mirrors the head, so seeding only applies when the head IS the
-    // pinned view (no concurrent pending versions on the root store).
-    std::optional<std::vector<AtomId>> seeded;
-    if (plan.seed.has_value()) {
-      MAD_ASSIGN_OR_RETURN(const AtomType* root_at,
-                           db_->GetAtomType(md->root_node().type_name));
-      if (!root_at->occurrence().HeadVisibleAt(view)) plan.seed.reset();
-    }
-    if (plan.seed.has_value()) {
-      MAD_ASSIGN_OR_RETURN(const AtomType* root_at,
-                           db_->GetAtomType(md->root_node().type_name));
-      ScopedSpan seed_span("index-seed",
-                           md->root_node().type_name + "." +
-                               plan.seed->attribute + " = " +
-                               plan.seed->value.ToString());
-      seed_span.set_rows_in(
-          static_cast<int64_t>(root_at->occurrence().size()));
-      const std::vector<AtomId>& bucket =
-          plan.seed->index->Lookup(plan.seed->value);
-      std::vector<std::pair<size_t, AtomId>> ordered;
-      ordered.reserve(bucket.size());
-      for (AtomId id : bucket) {
-        std::optional<size_t> pos = root_at->occurrence().PositionOf(id);
-        if (pos.has_value()) ordered.emplace_back(*pos, id);
-      }
-      std::sort(ordered.begin(), ordered.end());
-      seeded.emplace();
-      seeded->reserve(ordered.size());
-      for (const auto& [pos, id] : ordered) seeded->push_back(id);
-      seed_span.set_rows_out(static_cast<int64_t>(seeded->size()));
-    }
-
-    // Columnar scan seed: no index matched, but the root filter's first
-    // conjunct is a plain `attr ⊕ literal` — run the batch compare kernel
-    // over the whole root column and fan out only over the passing rows.
-    // Applies only when the head is the pinned view, the column is clean,
-    // and the kernel reports zero error rows (an erroring row must instead
-    // surface its error through ordinary evaluation). Row order is
-    // occurrence order by construction, so seeded derivation stays
-    // bit-identical to the unseeded scan.
-    if (!seeded.has_value() && plan.scan_seed.has_value()) {
-      MAD_ASSIGN_OR_RETURN(const AtomType* root_at,
-                           db_->GetAtomType(md->root_node().type_name));
-      const AtomStore& store = root_at->occurrence();
-      const ColumnSet& columns = store.columns();
-      const Column* column = columns.column(plan.scan_seed->value_slot);
-      expr::RowBitmaps bits;
-      if (store.HeadVisibleAt(view) && column != nullptr &&
-          expr::BuildCompareBitmaps(*column, columns.rows(),
-                                    plan.scan_seed->op, plan.scan_seed->value,
-                                    plan.scan_seed->attr_on_left, &bits) &&
-          !bits.any_err) {
-        ScopedSpan scan_span("seed-scan", md->root_node().type_name + ": " +
-                                              plan.scan_seed->display);
-        scan_span.set_rows_in(static_cast<int64_t>(columns.rows()));
-        seeded.emplace();
-        for (size_t r = 0; r < columns.rows(); ++r) {
-          if (bits.Pass(r)) seeded->push_back(columns.IdAt(r));
-        }
-        scan_span.set_rows_out(static_cast<int64_t>(seeded->size()));
-      }
-    }
-
-    {
-      // The fused Σ: rows_in counts the roots fanned out over, rows_out
-      // the molecules surviving the pushed programs.
-      ScopedSpan sigma_span("sigma", stmt.where->ToString());
-      std::vector<Molecule> molecules;
-      if (seeded.has_value()) {
-        MAD_ASSIGN_OR_RETURN(
-            molecules,
-            DeriveMoleculesForRoots(*db_, *md, *seeded, dopts, &dstats));
-      } else {
-        MAD_ASSIGN_OR_RETURN(molecules,
-                             DeriveMolecules(*db_, *md, dopts, &dstats));
-      }
-      sigma_span.set_rows_in(static_cast<int64_t>(dstats.roots));
-      sigma_span.set_rows_out(static_cast<int64_t>(molecules.size()));
-      derived.emplace(name, *md, std::move(molecules));
-    }
-  }
-  if (!derived.has_value()) {
-    MAD_ASSIGN_OR_RETURN(MoleculeType full,
-                         DefineMoleculeType(*db_, name, *md, dopts, &dstats));
-    derived.emplace(std::move(full));
-  }
-  result.derivation = dstats;
-  MoleculeType mt = *std::move(derived);
-  if (residual_where != nullptr) {
-    MAD_ASSIGN_OR_RETURN(
-        mt, RestrictMolecules(*db_, mt, residual_where, name,
-                              options_.parallelism, view));
-  }
-  if (!stmt.select_all) {
-    MAD_ASSIGN_OR_RETURN(MoleculeProjectionSpec spec,
-                         TranslateProjection(mt.description(), stmt.items));
-    MAD_ASSIGN_OR_RETURN(mt, ProjectMolecules(*db_, mt, spec, name));
-  }
-  result.kind = QueryResult::Kind::kMolecules;
-  result.molecules = std::make_shared<MoleculeType>(std::move(mt));
-  select_span.set_rows_out(static_cast<int64_t>(result.molecules->size()));
+  MAD_ASSIGN_OR_RETURN(QueryResult result,
+                       ExecutePlan(*db_, plan, view, options_.parallelism));
+  select_span.set_rows_out(static_cast<int64_t>(
+      result.molecules != nullptr ? result.molecules->size()
+                                  : result.recursive.size()));
   return result;
 }
 
@@ -714,136 +586,26 @@ Result<QueryResult> Session::RunUpdate(UpdateStatement stmt) {
 }
 
 Result<QueryResult> Session::RunExplain(ExplainStatement stmt) {
-  const SelectStatement& select = stmt.select;
-  const StructureNode& root = *select.from.structure;
-
-  std::string plan = "-- molecule algebra translation --\n";
-
-  std::optional<MoleculeDescription> md;
-  std::optional<RecursiveDescription> rd;
-  std::optional<MoleculeDescription> expansion;
-  std::string name = select.from.molecule_name.empty()
-                         ? "query"
-                         : select.from.molecule_name;
-  bool bare_identifier =
-      select.from.molecule_name.empty() && root.branches.empty();
-  auto registered =
-      bare_identifier ? registry_.find(root.atom) : registry_.end();
-  if (registered != registry_.end()) {
-    md = registered->second;
-    name = registered->first;
-  } else {
-    MAD_ASSIGN_OR_RETURN(TranslatedFrom translated,
-                         TranslateStructure(*db_, root));
-    md = std::move(translated.description);
-    rd = std::move(translated.recursive);
-    expansion = std::move(translated.recursive_expansion);
-  }
-
-  if (rd.has_value()) {
-    plan += "closure[" + rd->atom_type + ", " + rd->link_type + ", " +
-            (rd->direction == LinkDirection::kForward ? "forward" : "backward");
-    plan += rd->max_depth < 0 ? ", unbounded]"
-                              : ", depth<=" + std::to_string(rd->max_depth) +
-                                    "]";
-    plan += "   -- recursive molecule type [Schö89]\n";
-    if (expansion.has_value()) {
-      plan += "expand-each[" + expansion->ToString() +
-              "]   -- per-member component molecule\n";
-    }
-  } else {
-    plan += "a[" + name + ", {";
-    for (size_t j = 0; j < md->links().size(); ++j) {
-      if (j > 0) plan += ", ";
-      const DirectedLink& dl = md->links()[j];
-      plan += "<" + dl.link_type + ": " + dl.from +
-              (dl.reverse ? " <~ " : " -> ") + dl.to + ">";
-    }
-    plan += "}]({";
-    for (size_t i = 0; i < md->nodes().size(); ++i) {
-      if (i > 0) plan += ", ";
-      plan += md->nodes()[i].label;
-    }
-    plan += "})   -- molecule-type definition (Def. 8)\n";
-  }
-
-  if (select.where != nullptr) {
-    plan += "Sigma[" + select.where->ToString() +
-            "]   -- molecule-type restriction (Def. 10)\n";
-    if (options_.enable_root_pushdown && md.has_value() && !rd.has_value()) {
-      // How the Σ will actually run: per-node compiled filters inside the
-      // derivation, an index-seeded root set, and the compiled residual.
-      Result<PushdownPlan> pushed =
-          PlanPredicatePushdown(*db_, *md, select.where);
-      if (pushed.ok()) {
-        for (const NodeFilter& filter : pushed->node_filters) {
-          plan += "  push-down[" + md->nodes()[filter.node_index].label +
-                  "]: " + filter.predicate->ToString();
-          Result<expr::CompiledPredicate> program =
-              expr::CompiledPredicate::Compile(*db_, *md, filter.predicate);
-          if (program.ok()) plan += "   -- compiled: " + program->Summary();
-          plan += "\n";
-        }
-        if (pushed->seed.has_value()) {
-          plan += "  seed-index[" + md->root_node().type_name + "." +
-                  pushed->seed->attribute + " = " +
-                  pushed->seed->value.ToString() +
-                  "]   -- root fan-out from AttributeIndex\n";
-        } else if (pushed->scan_seed.has_value()) {
-          plan += "  seed-scan[" + md->root_node().type_name + ": " +
-                  pushed->scan_seed->display +
-                  "]   -- root fan-out from columnar kernel scan\n";
-        }
-        if (pushed->residual != nullptr) {
-          plan += "  residual: " + pushed->residual->ToString();
-          Result<expr::CompiledPredicate> program =
-              expr::CompiledPredicate::Compile(*db_, *md, pushed->residual);
-          if (program.ok()) plan += "   -- compiled: " + program->Summary();
-          plan += "\n";
-        }
-      }
-    }
-  }
-  if (!select.select_all) {
-    if (rd.has_value()) {
-      return Status::Unsupported(
-          "recursive queries support SELECT ALL projections only");
-    }
-    MAD_ASSIGN_OR_RETURN(MoleculeProjectionSpec spec,
-                         TranslateProjection(*md, select.items));
-    plan += "Pi[{";
-    for (size_t i = 0; i < spec.keep_labels.size(); ++i) {
-      if (i > 0) plan += ", ";
-      plan += spec.keep_labels[i];
-      auto it = spec.attributes.find(spec.keep_labels[i]);
-      if (it != spec.attributes.end()) {
-        plan += "(";
-        for (size_t j = 0; j < it->second.size(); ++j) {
-          if (j > 0) plan += ",";
-          plan += it->second[j];
-        }
-        plan += ")";
-      }
-    }
-    plan += "}]   -- molecule-type projection\n";
-  }
-
+  QueryResult result;
   if (!stmt.analyze) {
-    QueryResult result;
-    result.message = std::move(plan);
+    // The plan RunSelect would execute, built the same way: under the
+    // shared lock, at this session's view.
+    ReaderLock read_lock(db_->mutex());
+    MAD_ASSIGN_OR_RETURN(
+        SelectPlan plan,
+        PlanSelect(*db_, registry_, stmt.select, CurrentView()));
+    result.message = FormatSelectPlan(plan);
     return result;
   }
-
   // EXPLAIN ANALYZE: execute the select under a fresh trace and report the
-  // plan together with the recorded operator span tree.
+  // plan it executed together with the recorded operator span tree.
+  std::string plan;
   auto trace = std::make_shared<QueryTrace>();
   Result<QueryResult> executed = [&] {
     TraceScope scope(trace.get());
-    return RunSelect(std::move(stmt.select));
+    return RunSelect(stmt.select, &plan);
   }();
-  MAD_RETURN_IF_ERROR(executed.status());
-
-  QueryResult result = *std::move(executed);
+  MAD_ASSIGN_OR_RETURN(result, std::move(executed));
   result.kind = QueryResult::Kind::kCommand;
   result.message = std::move(plan) + "-- execution profile --\n" +
                    text::FormatQueryTrace(*trace);

@@ -56,11 +56,6 @@ struct QueryResult {
 
 /// Execution tuning knobs.
 struct SessionOptions {
-  /// Push WHERE conjuncts decidable on root attributes alone below the
-  /// molecule derivation, so only qualifying roots are derived (the
-  /// query-optimization direction the paper's outlook sketches). Disable
-  /// for the ablation benchmarks.
-  bool enable_root_pushdown = true;
   /// Worker threads for molecule derivation (0 = hardware_concurrency);
   /// adjustable at runtime with `SET PARALLELISM n`. Results are identical
   /// at every setting.
@@ -129,7 +124,10 @@ class Session {
 
  private:
   Result<QueryResult> RunStatement(Statement statement);
-  Result<QueryResult> RunSelect(SelectStatement stmt);
+  /// Plans and executes a SELECT; with `explain` set, also renders the
+  /// executed plan there (EXPLAIN ANALYZE).
+  Result<QueryResult> RunSelect(const SelectStatement& stmt,
+                                std::string* explain = nullptr);
   Result<QueryResult> RunCreateAtomType(CreateAtomTypeStatement stmt);
   Result<QueryResult> RunCreateLinkType(CreateLinkTypeStatement stmt);
   Result<QueryResult> RunInsertAtom(InsertAtomStatement stmt);

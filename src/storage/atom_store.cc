@@ -107,6 +107,38 @@ void AtomStore::DropArchived(ArchiveHandle handle) {
   archived_.erase(handle);
 }
 
+std::vector<AtomId> AtomStore::MoveToEnd(const std::vector<AtomId>& ids) {
+  std::vector<size_t> positions;
+  positions.reserve(ids.size());
+  for (AtomId id : ids) {
+    if (auto it = by_id_.find(id); it != by_id_.end()) {
+      positions.push_back(it->second);
+    }
+  }
+  std::sort(positions.begin(), positions.end());
+  positions.erase(std::unique(positions.begin(), positions.end()),
+                  positions.end());
+  std::vector<AtomId> moved;
+  if (positions.empty() ||
+      positions.front() + positions.size() == atoms_.size()) {
+    return moved;  // already the tail, in order
+  }
+  moved.reserve(positions.size());
+  for (size_t pos : positions) moved.push_back(atoms_[pos].id);
+  // Erase + Insert keeps the column mirror and the pending count exact; in
+  // ascending position order the moved versions keep their relative order.
+  for (AtomId id : moved) {
+    const size_t pos = by_id_.at(id);
+    Atom atom = atoms_[pos];
+    const uint64_t create_epoch = meta_[pos].create_epoch;
+    Status erased = Erase(id);
+    (void)erased;
+    Status inserted = Insert(std::move(atom), create_epoch);
+    (void)inserted;
+  }
+  return moved;
+}
+
 size_t AtomStore::ReclaimBefore(uint64_t horizon) {
   size_t reclaimed = 0;
   for (auto it = archived_.begin(); it != archived_.end();) {

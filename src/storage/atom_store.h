@@ -83,6 +83,13 @@ class AtomStore {
   /// (created and deleted in the same transaction): it exists at no epoch.
   void DropArchived(ArchiveHandle handle);
 
+  /// Moves the head versions of `ids` behind every other head version,
+  /// keeping their relative order and stamps, under fresh seqs; ids absent
+  /// from the head are ignored. Returns the ids moved, in their new order —
+  /// empty when they already formed the tail of the head. Commit uses this
+  /// to put a transaction's writes where WAL replay re-applies them.
+  std::vector<AtomId> MoveToEnd(const std::vector<AtomId>& ids);
+
   /// Reclaims every archived version invisible to all readers at or after
   /// `horizon` (committed delete_epoch <= horizon). Returns the count.
   size_t ReclaimBefore(uint64_t horizon);

@@ -744,11 +744,39 @@ Status Database::EraseLinkLocked(const std::string& lname, AtomId first,
 
 // --- Commit / rollback -----------------------------------------------------
 
+void Database::MoveToCommitOrderLocked(const Transaction& txn) {
+  std::map<std::string, std::vector<AtomId>> atoms;
+  std::map<std::string, std::vector<Link>> links;
+  for (const Transaction::UndoOp& op : txn.undo_) {
+    if (op.kind == Transaction::UndoOp::Kind::kInsertAtom) {
+      atoms[op.type_name].push_back(op.id);
+    } else if (op.kind == Transaction::UndoOp::Kind::kInsertLink) {
+      links[op.type_name].push_back(op.link);
+    }
+  }
+  // Each listed id or link is either gone from the head (deleted later in
+  // this transaction; MoveToEnd skips it) or still carries this
+  // transaction's pending stamp: first-writer-wins keeps every other
+  // writer off it until this commit.
+  for (const auto& [aname, ids] : atoms) {
+    AtomStore& store = atom_types_.at(aname)->mutable_occurrence();
+    for (AtomId id : store.MoveToEnd(ids)) {
+      const Atom& atom = *store.Find(id);
+      IndexErase(aname, atom);
+      IndexInsert(aname, atom);
+    }
+  }
+  for (const auto& [lname, pairs] : links) {
+    link_types_.at(lname)->mutable_occurrence().MoveToEnd(pairs);
+  }
+}
+
 void Database::CommitTransaction(Transaction& txn) {
   WriterLock lock(mu_);
   txn.open_ = false;
   if (!txn.undo_.empty()) {
     const uint64_t commit_epoch = NextEpochLocked();
+    MoveToCommitOrderLocked(txn);
     for (const Transaction::UndoOp& op : txn.undo_) {
       switch (op.kind) {
         case Transaction::UndoOp::Kind::kInsertAtom: {

@@ -558,6 +558,11 @@ class Database {
   Status CheckArchivedInsert(uint64_t delete_epoch, const Transaction* txn,
                              const std::string& what) const;
 
+  /// Moves a committing transaction's head writes (and their index
+  /// entries) behind every other entry, in application order. The WAL logs
+  /// them at commit, so recovery re-applies them after every write
+  /// committed meanwhile; the head must already be in that order.
+  void MoveToCommitOrderLocked(const Transaction& txn) MAD_REQUIRES(mu_);
   void CommitTransaction(Transaction& txn) MAD_EXCLUDES(mu_, readers_mu_);
   void RollbackTransaction(Transaction& txn) MAD_EXCLUDES(mu_, readers_mu_);
   void GcThreadMain(std::chrono::milliseconds interval)

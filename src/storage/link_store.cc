@@ -142,6 +142,26 @@ void LinkStore::DropArchived(ArchiveHandle handle) {
   archived_.erase(handle);
 }
 
+void LinkStore::MoveToEnd(const std::vector<Link>& links) {
+  std::vector<std::pair<uint64_t, Link>> present;
+  present.reserve(links.size());
+  for (const Link& link : links) {
+    if (auto it = index_.find(link); it != index_.end()) {
+      present.emplace_back(it->second.seq, link);
+    }
+  }
+  std::sort(present.begin(), present.end());
+  present.erase(std::unique(present.begin(), present.end()), present.end());
+  // In seq order, which is the order of every partner list.
+  for (const auto& [seq, link] : present) {
+    const uint64_t create_epoch = index_.at(link).create_epoch;
+    Status erased = Erase(link.first, link.second);
+    (void)erased;
+    Status inserted = Insert(link.first, link.second, create_epoch);
+    (void)inserted;
+  }
+}
+
 size_t LinkStore::ReclaimBefore(uint64_t horizon) {
   size_t reclaimed = 0;
   for (auto it = archived_.begin(); it != archived_.end();) {

@@ -90,6 +90,11 @@ class LinkStore {
   /// Drops an archived link whose committed interval came out empty.
   void DropArchived(ArchiveHandle handle);
 
+  /// Moves the live links among `links` behind every other entry of both
+  /// their partner lists, keeping their relative order and stamps, under
+  /// fresh seqs; absent links are ignored. See AtomStore::MoveToEnd.
+  void MoveToEnd(const std::vector<Link>& links);
+
   /// Reclaims archived links with committed delete_epoch <= horizon.
   size_t ReclaimBefore(uint64_t horizon);
 

@@ -13,7 +13,6 @@
 #include "expr/compile.h"
 #include "expr/kernels.h"
 #include "molecule/derivation.h"
-#include "molecule/qualification.h"
 #include "storage/atom_store.h"
 #include "storage/database.h"
 #include "workload/geo.h"

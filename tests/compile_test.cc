@@ -13,7 +13,7 @@
 
 #include "molecule/derivation.h"
 #include "molecule/operations.h"
-#include "molecule/qualification.h"
+#include "support/molecule_qualifier.h"
 #include "workload/geo.h"
 
 namespace mad {

@@ -171,6 +171,88 @@ TEST(DurableDatabaseTest, FallsBackToOlderCheckpointWhenNewestCorrupt) {
   fs::remove_all(dir);
 }
 
+/// Occurrence order as derivation and lookups see it: `part` head order,
+/// the `composition` partners of `root`, and the `kind = 'k'` index bucket,
+/// each as a list of names.
+std::string OrderDigest(const Database& db, AtomId root) {
+  ReaderLock lock(db.mutex());
+  auto part = db.GetAtomType("part");
+  auto comp = db.GetLinkType("composition");
+  auto bucket = db.LookupByAttribute("part", "kind", Value("k"));
+  if (!part.ok() || !comp.ok() || !bucket.ok()) return "?";
+  const AtomStore& store = (*part)->occurrence();
+  auto names = [&](const std::vector<AtomId>& ids) {
+    std::string out;
+    for (AtomId id : ids) {
+      const Atom* atom = store.Find(id);
+      out += (atom != nullptr ? atom->values[0].AsString() : "?") + ",";
+    }
+    return out;
+  };
+  std::vector<AtomId> head;
+  for (const Atom& atom : store.atoms()) head.push_back(atom.id);
+  return names(head) + "|" +
+         names((*comp)->occurrence().Partners(root, LinkDirection::kForward)) +
+         "|" + names(*bucket);
+}
+
+/// A transaction's writes reach the WAL at COMMIT, so replay applies them
+/// after every write committed while the transaction was open. The live
+/// head, partner lists and index buckets must already be in that order,
+/// or recovery would bring them back in another occurrence order.
+TEST(DurableDatabaseTest, TransactionWritesReplayInCommitOrder) {
+  std::string dir = TestDir("commit_order");
+  AtomId root;
+  std::string live_order;
+  std::string live_bytes;
+  {
+    auto durable = DurableDatabase::Open(dir);
+    ASSERT_TRUE(durable.ok()) << durable.status();
+    Database& db = (*durable)->database();
+    Schema schema;
+    ASSERT_TRUE(schema.AddAttribute("name", DataType::kString).ok());
+    ASSERT_TRUE(schema.AddAttribute("kind", DataType::kString).ok());
+    ASSERT_TRUE(db.DefineAtomType("part", schema).ok());
+    ASSERT_TRUE(db.DefineLinkType("composition", "part", "part").ok());
+    ASSERT_TRUE(db.CreateIndex("part", "kind").ok());
+    auto a = db.InsertAtom("part", {Value("a"), Value("k")});
+    auto b = db.InsertAtom("part", {Value("b"), Value("k")});
+    auto c = db.InsertAtom("part", {Value("c"), Value("k")});
+    ASSERT_TRUE(a.ok() && b.ok() && c.ok());
+    root = *c;
+
+    std::unique_ptr<Transaction> txn = db.Begin();
+    ASSERT_TRUE(
+        db.UpdateAtom("part", *a, {Value("a2"), Value("k")}, txn.get()).ok());
+    auto x = db.InsertAtom("part", {Value("x"), Value("k")}, txn.get());
+    ASSERT_TRUE(x.ok());
+    ASSERT_TRUE(db.InsertLink("composition", *c, *x, txn.get()).ok());
+    // Autocommit writes land between the transaction's statements and its
+    // commit, and reach the WAL first.
+    ASSERT_TRUE(db.UpdateAtom("part", *b, {Value("b2"), Value("k")}).ok());
+    auto y = db.InsertAtom("part", {Value("y"), Value("k")});
+    ASSERT_TRUE(y.ok());
+    ASSERT_TRUE(db.InsertLink("composition", *c, *y).ok());
+    ASSERT_TRUE(txn->Commit().ok());
+
+    live_order = OrderDigest(db, root);
+    EXPECT_EQ(live_order, "c,b2,y,a2,x,|y,x,|c,b2,y,a2,x,");
+    EXPECT_TRUE(db.CheckConsistency().ok());
+    auto bytes = SerializeDatabaseBinary(db);
+    ASSERT_TRUE(bytes.ok());
+    live_bytes = *bytes;
+    ASSERT_TRUE((*durable)->Sync().ok());
+  }
+  auto durable = DurableDatabase::Open(dir);
+  ASSERT_TRUE(durable.ok()) << durable.status();
+  EXPECT_EQ(OrderDigest((*durable)->database(), root), live_order);
+  auto bytes = SerializeDatabaseBinary((*durable)->database());
+  ASSERT_TRUE(bytes.ok());
+  EXPECT_EQ(*bytes, live_bytes);
+  EXPECT_TRUE((*durable)->database().CheckConsistency().ok());
+  fs::remove_all(dir);
+}
+
 /// The ISSUE's acceptance harness: truncate the WAL at EVERY byte offset
 /// and assert recovery always succeeds with a database equal to the state
 /// after some prefix of the logged records — never a crash, never a

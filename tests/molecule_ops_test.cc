@@ -7,7 +7,6 @@
 
 #include "molecule/derivation.h"
 #include "molecule/propagation.h"
-#include "molecule/qualification.h"
 #include "workload/geo.h"
 
 namespace mad {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 
 #include "algebra/atom_algebra.h"
 #include "mql/lexer.h"
@@ -374,6 +375,119 @@ TEST_F(MqlSessionTest, RecursiveQueryOverBom) {
       "SELECT ALL FROM part-[composition*] WHERE part.name = 'bolt';");
   ASSERT_TRUE(with_bolt.ok()) << with_bolt.status();
   EXPECT_EQ(with_bolt->recursive.size(), 5u);  // every part reaches a bolt
+}
+
+/// One recursive SELECT and its outcome: the surviving closures as
+/// "<root name>/<atom count>[/<components>]" in result order, or the error.
+struct RecursiveSigmaCase {
+  const char* query;
+  const char* outcome;
+};
+
+std::string RecursiveOutcome(const Database& db,
+                             const Result<QueryResult>& result) {
+  if (!result.ok()) return "error " + result.status().ToString();
+  const AtomType* at =
+      *db.GetAtomType(result->recursive_description.atom_type);
+  const size_t name = *at->description().IndexOf("name");
+  std::string out;
+  for (size_t i = 0; i < result->recursive.size(); ++i) {
+    const RecursiveMolecule& m = result->recursive[i];
+    if (!out.empty()) out += " ";
+    out += at->occurrence().Find(m.root())->values[name].AsString() + "/" +
+           std::to_string(m.atom_count());
+    if (!result->recursive_components.empty()) {
+      out += "/" + std::to_string(result->recursive_components[i].size());
+    }
+  }
+  return out;
+}
+
+TEST(MqlRecursiveSigmaTest, ClosureQualification) {
+  // car -> {engine -> piston -> bolt, chassis -> bolt}; costs 20000, 5000,
+  // 3000, 120, 1. Closures are evaluated in occurrence order: car, engine,
+  // chassis, piston, bolt.
+  Database db("BOM");
+  auto ids = workload::BuildCarBom(db);
+  ASSERT_TRUE(ids.ok());
+  Schema supplier;
+  ASSERT_TRUE(supplier.AddAttribute("company", DataType::kString).ok());
+  ASSERT_TRUE(db.DefineAtomType("supplier", std::move(supplier)).ok());
+  ASSERT_TRUE(db.DefineLinkType("supplies", "supplier", "part").ok());
+  AtomId acme = *db.InsertAtom("supplier", {Value("Acme")});
+  ASSERT_TRUE(db.InsertLink("supplies", acme, (*ids)["bolt"]).ok());
+  ASSERT_TRUE(db.InsertLink("supplies", acme, (*ids)["engine"]).ok());
+
+  const RecursiveSigmaCase cases[] = {
+      // Root-only, member-only (qualified by the atom type), unqualified.
+      {"SELECT ALL FROM part-[composition*] WHERE root.cost > 1000;",
+       "car/5 engine/3 chassis/2"},
+      {"SELECT ALL FROM part-[composition*] WHERE part.name = 'piston';",
+       "car/5 engine/3 piston/2"},
+      {"SELECT ALL FROM part-[composition*] WHERE name = 'chassis';",
+       "car/5 chassis/2"},
+      // Root and member in one comparison, forwards and backwards.
+      {"SELECT ALL FROM part-[composition*] WHERE part.cost > root.cost;",
+       ""},
+      {"SELECT ALL FROM part-[composition~*] WHERE part.cost > root.cost;",
+       "engine/2 chassis/2 piston/3 bolt/5"},
+      // OR and NOT over separate leaves. NOT negates the existential: every
+      // closure holds the bolt, so NOT part.cost < 4000 never holds.
+      {"SELECT ALL FROM part-[composition*] "
+       "WHERE root.name = 'bolt' OR NOT part.cost < 4000;",
+       "bolt/1"},
+      {"SELECT ALL FROM part-[composition*] "
+       "WHERE root.name = 'bolt' OR part.cost >= 4000;",
+       "car/5 engine/3 bolt/1"},
+      {"SELECT ALL FROM part-[composition*] "
+       "WHERE NOT (root.cost > 100 AND part.cost < 2);",
+       "bolt/1"},
+      // A runtime error that only the piston closure's data triggers.
+      {"SELECT ALL FROM part-[composition*] "
+       "WHERE root.cost / (part.cost - 120) > 0;",
+       "error InvalidArgument: division by zero"},
+      // Backward closure with a root filter.
+      {"SELECT ALL FROM part-[composition~*] WHERE root.name = 'bolt';",
+       "bolt/5"},
+      // Depth-bounded closure and a member filter.
+      {"SELECT ALL FROM part-[composition*2] WHERE part.name = 'bolt';",
+       "car/5 engine/3 chassis/2 piston/2 bolt/1"},
+      {"SELECT ALL FROM part-[composition*1] WHERE part.name = 'bolt';",
+       "chassis/2 piston/2 bolt/1"},
+      // Expansion tail: components only for the surviving closures.
+      {"SELECT ALL FROM part-[composition*]-[supplies~]-supplier "
+       "WHERE part.cost < 2 AND root.cost >= 3000;",
+       "car/5/5 engine/3/3 chassis/2/2"},
+  };
+  for (const RecursiveSigmaCase& c : cases) {
+    Session session(&db);
+    EXPECT_EQ(RecursiveOutcome(db, session.Execute(c.query)), c.outcome)
+        << c.query;
+  }
+
+  // An atom type named 'root': the qualifier 'root' still binds the
+  // closure's root, unqualified references its members.
+  Database named("ROOTS");
+  Session setup(&named);
+  ASSERT_TRUE(setup
+                  .ExecuteScript(
+                      "CREATE ATOM TYPE root (name STRING, cost INT64);"
+                      "CREATE LINK TYPE sub (root, root);"
+                      "INSERT INTO root VALUES ('a', 10), ('b', 5), "
+                      "('c', 1);"
+                      "INSERT LINK sub FROM (name = 'a') TO (name = 'b');"
+                      "INSERT LINK sub FROM (name = 'b') TO (name = 'c');")
+                  .ok());
+  const RecursiveSigmaCase named_cases[] = {
+      {"SELECT ALL FROM root-[sub*] WHERE root.cost > 3;", "a/3 b/2"},
+      {"SELECT ALL FROM root-[sub*] WHERE cost = 5;", "a/3 b/2"},
+      {"SELECT ALL FROM root-[sub~*] WHERE name = 'a';", "a/1 b/2 c/3"},
+  };
+  for (const RecursiveSigmaCase& c : named_cases) {
+    Session session(&named);
+    EXPECT_EQ(RecursiveOutcome(named, session.Execute(c.query)), c.outcome)
+        << c.query;
+  }
 }
 
 TEST_F(MqlSessionTest, SessionErrors) {

@@ -2,10 +2,15 @@
 
 #include <gtest/gtest.h>
 
-#include <set>
+#include <string>
+#include <variant>
 #include <vector>
 
+#include "molecule/derivation.h"
+#include "molecule/operations.h"
+#include "mql/parser.h"
 #include "mql/session.h"
+#include "mql/translator.h"
 #include "workload/geo.h"
 
 namespace mad {
@@ -157,26 +162,40 @@ TEST_F(OptimizerTest, IndexSeedRequiresIndexAndRootEquality) {
   EXPECT_FALSE(range->seed.has_value());
 }
 
-std::set<std::string> RootNames(const Database& db, const QueryResult& r) {
-  std::set<std::string> names;
-  const MoleculeType& mt = *r.molecules;
-  const AtomType* at = *db.GetAtomType(mt.description().root_node().type_name);
-  size_t idx = *at->description().IndexOf("name");
-  for (const Molecule& m : mt.molecules()) {
-    names.insert(at->occurrence().Find(m.root())->values[idx].AsString());
-  }
-  return names;
-}
-
 /// Canonical keys in result order — the bit-for-bit comparison: same
 /// molecules, same atoms and links per molecule, same order.
-std::vector<std::string> Keys(const QueryResult& r) {
+std::vector<std::string> Keys(const MoleculeType& mt) {
   std::vector<std::string> keys;
-  keys.reserve(r.molecules->size());
-  for (const Molecule& m : r.molecules->molecules()) {
-    keys.push_back(m.CanonicalKey());
-  }
+  keys.reserve(mt.size());
+  for (const Molecule& m : mt.molecules()) keys.push_back(m.CanonicalKey());
   return keys;
+}
+
+/// The derive-then-restrict reference for a SELECT: the Ch. 4 translation
+/// run operator by operator — a (DefineMoleculeType), then Σ
+/// (RestrictMolecules), then Π (ProjectMolecules) — with no pushdown and no
+/// seeds.
+Result<MoleculeType> AlgebraReference(const Database& db,
+                                      const std::string& query,
+                                      unsigned parallelism) {
+  MAD_ASSIGN_OR_RETURN(Statement stmt, ParseStatement(query));
+  const SelectStatement& select = std::get<SelectStatement>(stmt);
+  MAD_ASSIGN_OR_RETURN(TranslatedFrom from,
+                       TranslateStructure(db, *select.from.structure));
+  MAD_ASSIGN_OR_RETURN(
+      MoleculeType mt,
+      DefineMoleculeType(db, "reference", *from.description,
+                         DerivationOptions{parallelism}));
+  if (select.where != nullptr) {
+    MAD_ASSIGN_OR_RETURN(mt, RestrictMolecules(db, mt, select.where,
+                                               "reference", parallelism));
+  }
+  if (!select.select_all) {
+    MAD_ASSIGN_OR_RETURN(MoleculeProjectionSpec spec,
+                         TranslateProjection(mt.description(), select.items));
+    MAD_ASSIGN_OR_RETURN(mt, ProjectMolecules(db, mt, spec, "reference"));
+  }
+  return mt;
 }
 
 TEST_F(OptimizerTest, PushdownAndBaselineAgree) {
@@ -200,30 +219,25 @@ TEST_F(OptimizerTest, PushdownAndBaselineAgree) {
       "SELECT ALL FROM m8(state-area-edge-point) "
       "WHERE FORALL point (point.x >= 0);",
   };
-  // Pushdown on/off at several parallelism settings must agree
-  // bit-for-bit, per Theorem 2's closure argument: Σ commutes with the
-  // derivation split because each pushed conjunct is decided by the same
-  // group either way.
+  // The session's fused plan and the operator-by-operator algebra must
+  // agree bit-for-bit at several parallelism settings, per Theorem 2's
+  // closure argument: Σ commutes with the derivation split because each
+  // pushed conjunct is decided by the same group either way.
   for (const char* query : queries) {
-    std::vector<std::string> baseline;
-    bool have_baseline = false;
-    for (bool pushdown : {true, false}) {
-      for (unsigned parallelism : {1u, 4u, 8u}) {
-        SessionOptions options;
-        options.enable_root_pushdown = pushdown;
-        options.parallelism = parallelism;
-        Session session(&db_, options);
-        auto result = session.Execute(query);
-        ASSERT_TRUE(result.ok()) << query << ": " << result.status();
-        if (!have_baseline) {
-          baseline = Keys(*result);
-          have_baseline = true;
-        } else {
-          EXPECT_EQ(Keys(*result), baseline)
-              << query << " (pushdown=" << pushdown
-              << ", parallelism=" << parallelism << ")";
-        }
-      }
+    auto baseline = AlgebraReference(db_, query, 1);
+    ASSERT_TRUE(baseline.ok()) << query << ": " << baseline.status();
+    for (unsigned parallelism : {1u, 4u, 8u}) {
+      auto reference = AlgebraReference(db_, query, parallelism);
+      ASSERT_TRUE(reference.ok()) << query << ": " << reference.status();
+      EXPECT_EQ(Keys(*reference), Keys(*baseline))
+          << query << " (algebra, parallelism=" << parallelism << ")";
+      SessionOptions options;
+      options.parallelism = parallelism;
+      Session session(&db_, options);
+      auto result = session.Execute(query);
+      ASSERT_TRUE(result.ok()) << query << ": " << result.status();
+      EXPECT_EQ(Keys(*result->molecules), Keys(*baseline))
+          << query << " (session, parallelism=" << parallelism << ")";
     }
   }
 }
@@ -247,21 +261,81 @@ TEST_F(OptimizerTest, ScanSeedSkippedWhenFirstRootConjunctErrors) {
   // The first root conjunct errors on every row (string + int), so the
   // kernel reports error bits and the scan seed must stand down: the query
   // surfaces the evaluation error exactly as the unseeded path would.
+  const char* query =
+      "SELECT ALL FROM m(state-area-edge-point) "
+      "WHERE state.name > 3 AND state.hectare > 0;";
+  auto parsed = ParseStatement(query);
+  ASSERT_TRUE(parsed.ok()) << parsed.status();
   Session session(&db_);
-  auto result = session.Execute(
-      "SELECT ALL FROM m(state-area-edge-point) "
-      "WHERE state.name > 3 AND state.hectare > 0;");
+  auto result = session.Run(std::move(*parsed));
   EXPECT_FALSE(result.ok());
-  // And a disabled-pushdown session reports the identical error.
-  SessionOptions options;
-  options.enable_root_pushdown = false;
-  Session plain(&db_, options);
-  auto expected = plain.Execute(
-      "SELECT ALL FROM m(state-area-edge-point) "
-      "WHERE state.name > 3 AND state.hectare > 0;");
+  // And the derive-then-restrict reference reports the identical error.
+  auto expected = AlgebraReference(db_, query, 1);
   EXPECT_FALSE(expected.ok());
   EXPECT_EQ(result.status().code(), expected.status().code());
   EXPECT_EQ(result.status().message(), expected.status().message());
+}
+
+TEST_F(OptimizerTest, SeedsMatchOnlyTheFirstRootConjunct) {
+  ASSERT_TRUE(db_.CreateIndex("state", "name").ok());
+  // An indexed equality behind another root conjunct seeds nothing from
+  // the index; the first conjunct seeds the column scan instead.
+  auto plan = PlanPredicatePushdown(
+      db_, *md_,
+      e::And(e::Gt(e::Attr("state", "hectare"), e::Lit(int64_t{900})),
+             e::Eq(e::Attr("state", "name"), e::Lit("SP"))));
+  ASSERT_TRUE(plan.ok());
+  EXPECT_FALSE(plan->seed.has_value());
+  ASSERT_TRUE(plan->scan_seed.has_value());
+  EXPECT_EQ(plan->scan_seed->display, "(state.hectare > 900)");
+  // An indexed equality in first place seeds from the index only.
+  auto indexed = PlanPredicatePushdown(
+      db_, *md_,
+      e::And(e::Eq(e::Attr("state", "name"), e::Lit("SP")),
+             e::Gt(e::Attr("state", "hectare"), e::Lit(int64_t{900}))));
+  ASSERT_TRUE(indexed.ok());
+  ASSERT_TRUE(indexed->seed.has_value());
+  EXPECT_FALSE(indexed->scan_seed.has_value());
+}
+
+TEST_F(OptimizerTest, AddingAnIndexKeepsTheAnswer) {
+  // RJ has hectare 150, so the first conjunct divides by zero there; the
+  // indexed equality behind it must not seed that row away.
+  const char* query =
+      "SELECT ALL FROM m(state-area-edge-point) "
+      "WHERE state.hectare / (state.hectare - 150) > 0 "
+      "AND state.name = 'SP';";
+  Session unindexed(&db_);
+  auto before = unindexed.Execute(query);
+  ASSERT_TRUE(db_.CreateIndex("state", "name").ok());
+  Session indexed(&db_);
+  auto after = indexed.Execute(query);
+  EXPECT_FALSE(before.ok());
+  EXPECT_EQ(before.status().message(), "division by zero");
+  EXPECT_EQ(after.status().code(), before.status().code());
+  EXPECT_EQ(after.status().message(), before.status().message());
+}
+
+TEST_F(OptimizerTest, IndexSeedKeepsTypeErrors) {
+  // The index bucket of a literal of another type is simply empty, where
+  // evaluating the conjunct raises a type error: such a literal must not
+  // seed from the index (the analyzer rejects it statically; Run does not
+  // analyze).
+  const char* query =
+      "SELECT ALL FROM m(state-area-edge-point) WHERE state.name = 3;";
+  auto run = [&](Session& session) {
+    auto parsed = ParseStatement(query);
+    EXPECT_TRUE(parsed.ok()) << parsed.status();
+    return session.Run(std::move(*parsed));
+  };
+  Session unindexed(&db_);
+  auto before = run(unindexed);
+  ASSERT_TRUE(db_.CreateIndex("state", "name").ok());
+  Session indexed(&db_);
+  auto after = run(indexed);
+  EXPECT_FALSE(before.ok());
+  EXPECT_EQ(after.status().code(), before.status().code());
+  EXPECT_EQ(after.status().message(), before.status().message());
 }
 
 TEST_F(OptimizerTest, IndexSeedNarrowsTheFanOut) {

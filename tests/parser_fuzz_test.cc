@@ -12,7 +12,7 @@
 #include "expr/compile.h"
 #include "molecule/derivation.h"
 #include "molecule/description.h"
-#include "molecule/qualification.h"
+#include "support/molecule_qualifier.h"
 #include "mql/parser.h"
 #include "mql/sema.h"
 #include "mql/session.h"

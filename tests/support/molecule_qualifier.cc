@@ -1,7 +1,8 @@
-#include "molecule/qualification.h"
+#include "support/molecule_qualifier.h"
 
-#include <algorithm>
+#include <vector>
 
+#include "expr/compile.h"
 #include "expr/eval.h"
 
 namespace mad {
@@ -11,159 +12,13 @@ namespace {
 using expr::Expr;
 using expr::ExprPtr;
 
-bool ContainsForAll(const Expr& expr);
-
-/// Rewrites every attribute reference to label-qualified form, validating
-/// existence and attribute narrowing along the way.
-Result<ExprPtr> ResolveRefs(const Database& db, const MoleculeDescription& md,
-                            const ExprPtr& node) {
-  switch (node->kind()) {
-    case Expr::Kind::kLiteral:
-      return node;
-    case Expr::Kind::kAttrRef: {
-      size_t node_idx;
-      if (!node->qualifier().empty()) {
-        MAD_ASSIGN_OR_RETURN(node_idx, md.ResolveQualifier(node->qualifier()));
-        const MoleculeNode& mn = md.nodes()[node_idx];
-        MAD_ASSIGN_OR_RETURN(const AtomType* at, db.GetAtomType(mn.type_name));
-        if (!at->description().HasAttribute(node->attribute())) {
-          return Status::NotFound("node '" + mn.label +
-                                  "' has no attribute '" + node->attribute() +
-                                  "'");
-        }
-      } else {
-        // Unqualified: the attribute must be visible in exactly one node.
-        const size_t kNone = static_cast<size_t>(-1);
-        size_t hit = kNone;
-        for (size_t i = 0; i < md.nodes().size(); ++i) {
-          MAD_ASSIGN_OR_RETURN(const AtomType* at,
-                               db.GetAtomType(md.nodes()[i].type_name));
-          if (!at->description().HasAttribute(node->attribute())) continue;
-          if (md.nodes()[i].attributes.has_value()) {
-            const auto& visible = *md.nodes()[i].attributes;
-            if (std::find(visible.begin(), visible.end(), node->attribute()) ==
-                visible.end()) {
-              continue;
-            }
-          }
-          if (hit != kNone) {
-            return Status::InvalidArgument(
-                "ambiguous attribute '" + node->attribute() +
-                "' (qualify it with a node label)");
-          }
-          hit = i;
-        }
-        if (hit == kNone) {
-          return Status::NotFound("attribute '" + node->attribute() +
-                                  "' occurs in no node of the description");
-        }
-        node_idx = hit;
-      }
-      const MoleculeNode& mn = md.nodes()[node_idx];
-      // Projection narrowing hides attributes even under a qualifier.
-      if (mn.attributes.has_value()) {
-        const auto& visible = *mn.attributes;
-        if (std::find(visible.begin(), visible.end(), node->attribute()) ==
-            visible.end()) {
-          return Status::NotFound("attribute '" + node->attribute() +
-                                  "' was projected away from node '" +
-                                  mn.label + "'");
-        }
-      }
-      return Expr::MakeAttrRef(mn.label, node->attribute());
-    }
-    case Expr::Kind::kCompare: {
-      MAD_ASSIGN_OR_RETURN(ExprPtr lhs, ResolveRefs(db, md, node->left()));
-      MAD_ASSIGN_OR_RETURN(ExprPtr rhs, ResolveRefs(db, md, node->right()));
-      return Expr::MakeCompare(node->compare_op(), std::move(lhs),
-                               std::move(rhs));
-    }
-    case Expr::Kind::kArith: {
-      MAD_ASSIGN_OR_RETURN(ExprPtr lhs, ResolveRefs(db, md, node->left()));
-      MAD_ASSIGN_OR_RETURN(ExprPtr rhs, ResolveRefs(db, md, node->right()));
-      return Expr::MakeArith(node->arith_op(), std::move(lhs), std::move(rhs));
-    }
-    case Expr::Kind::kAnd: {
-      MAD_ASSIGN_OR_RETURN(ExprPtr lhs, ResolveRefs(db, md, node->left()));
-      MAD_ASSIGN_OR_RETURN(ExprPtr rhs, ResolveRefs(db, md, node->right()));
-      return Expr::MakeAnd(std::move(lhs), std::move(rhs));
-    }
-    case Expr::Kind::kOr: {
-      MAD_ASSIGN_OR_RETURN(ExprPtr lhs, ResolveRefs(db, md, node->left()));
-      MAD_ASSIGN_OR_RETURN(ExprPtr rhs, ResolveRefs(db, md, node->right()));
-      return Expr::MakeOr(std::move(lhs), std::move(rhs));
-    }
-    case Expr::Kind::kNot: {
-      MAD_ASSIGN_OR_RETURN(ExprPtr operand, ResolveRefs(db, md, node->left()));
-      return Expr::MakeNot(std::move(operand));
-    }
-    case Expr::Kind::kCount: {
-      MAD_ASSIGN_OR_RETURN(size_t node_idx,
-                           md.ResolveQualifier(node->qualifier()));
-      return Expr::MakeCount(md.nodes()[node_idx].label);
-    }
-    case Expr::Kind::kForAll: {
-      MAD_ASSIGN_OR_RETURN(size_t node_idx,
-                           md.ResolveQualifier(node->qualifier()));
-      const std::string& label = md.nodes()[node_idx].label;
-      if (ContainsForAll(*node->left())) {
-        return Status::Unsupported("nested FORALL is not supported");
-      }
-      MAD_ASSIGN_OR_RETURN(ExprPtr inner, ResolveRefs(db, md, node->left()));
-      // The quantified predicate may reference only the quantified node
-      // (plus molecule-level COUNTs); mixing quantifiers stays out of
-      // scope.
-      std::vector<const Expr*> refs;
-      inner->CollectAttrRefs(&refs);
-      for (const Expr* ref : refs) {
-        if (ref->qualifier() != label) {
-          return Status::InvalidArgument(
-              "FORALL " + label + ": predicate may only reference '" + label +
-              "', found '" + ref->qualifier() + "." + ref->attribute() + "'");
-        }
-      }
-      return Expr::MakeForAll(label, std::move(inner));
-    }
-  }
-  return Status::Internal("unknown expression kind");
-}
-
 bool ContainsCount(const Expr& expr) {
   if (expr.kind() == Expr::Kind::kCount) return true;
   if (expr.left() != nullptr && ContainsCount(*expr.left())) return true;
   return expr.right() != nullptr && ContainsCount(*expr.right());
 }
 
-bool ContainsForAll(const Expr& expr) {
-  if (expr.kind() == Expr::Kind::kForAll) return true;
-  if (expr.left() != nullptr && ContainsForAll(*expr.left())) return true;
-  return expr.right() != nullptr && ContainsForAll(*expr.right());
-}
-
 }  // namespace
-
-void CollectQualifierLabels(const Expr& expr, std::vector<std::string>* out) {
-  std::vector<const Expr*> refs;
-  expr.CollectAttrRefs(&refs);
-  for (const Expr* ref : refs) {
-    if (std::find(out->begin(), out->end(), ref->qualifier()) == out->end()) {
-      out->push_back(ref->qualifier());
-    }
-  }
-}
-
-Result<expr::ExprPtr> ResolveQualification(const Database& db,
-                                           const MoleculeDescription& md,
-                                           const expr::ExprPtr& predicate) {
-  if (predicate == nullptr) {
-    return Status::InvalidArgument("qualification predicate must be non-null");
-  }
-  if (!predicate->IsPredicate()) {
-    return Status::InvalidArgument("expression " + predicate->ToString() +
-                                   " is not a predicate");
-  }
-  return ResolveRefs(db, md, predicate);
-}
 
 Result<MoleculeQualifier> MoleculeQualifier::Create(
     const Database& db, const MoleculeDescription& md,
@@ -171,7 +26,8 @@ Result<MoleculeQualifier> MoleculeQualifier::Create(
   MoleculeQualifier q;
   q.db_ = &db;
   q.md_ = &md;
-  MAD_ASSIGN_OR_RETURN(q.resolved_, ResolveQualification(db, md, predicate));
+  MAD_ASSIGN_OR_RETURN(q.resolved_,
+                       expr::ResolveQualification(db, md, predicate));
   for (size_t i = 0; i < md.nodes().size(); ++i) {
     MAD_ASSIGN_OR_RETURN(const AtomType* at,
                          db.GetAtomType(md.nodes()[i].type_name));
@@ -310,7 +166,7 @@ Result<bool> MoleculeQualifier::EvalExistential(const expr::Expr& expr,
   }
 
   std::vector<std::string> labels;
-  CollectQualifierLabels(expr, &labels);
+  expr::CollectQualifierLabels(expr, &labels);
 
   if (labels.empty()) {
     expr::BindingSet empty;

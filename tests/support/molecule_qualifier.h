@@ -1,9 +1,13 @@
-#ifndef MAD_MOLECULE_QUALIFICATION_H_
-#define MAD_MOLECULE_QUALIFICATION_H_
+#ifndef MAD_TESTS_SUPPORT_MOLECULE_QUALIFIER_H_
+#define MAD_TESTS_SUPPORT_MOLECULE_QUALIFIER_H_
+
+// Test-only oracle: the tree interpreter the compiled predicate engine
+// (expr/compile.h) is held to, bit for bit. Production code evaluates
+// qualification through CompiledPredicate only.
 
 #include <map>
 #include <string>
-#include <vector>
+#include <utility>
 
 #include "expr/expr.h"
 #include "molecule/description.h"
@@ -73,23 +77,6 @@ class MoleculeQualifier {
   std::map<std::string, std::pair<size_t, const Schema*>> label_info_;
 };
 
-/// Rewrites every attribute reference of `predicate` to label-qualified
-/// form against `md`, validating attribute existence, projection narrowing,
-/// COUNT/FORALL qualifiers, and the FORALL scoping rules along the way —
-/// the resolution step of MoleculeQualifier::Create, exposed for the
-/// predicate compiler (expr/compile.h) so interpreted and compiled
-/// evaluation agree on exactly which predicates are accepted.
-Result<expr::ExprPtr> ResolveQualification(const Database& db,
-                                           const MoleculeDescription& md,
-                                           const expr::ExprPtr& predicate);
-
-/// Collects the distinct qualifiers of `expr`'s attribute references in
-/// first-reference (pre-order) order — the binding-loop order of existential
-/// evaluation. Shared with the predicate compiler (expr/compile.h) so
-/// interpreted and compiled evaluation enumerate witnesses identically.
-void CollectQualifierLabels(const expr::Expr& expr,
-                            std::vector<std::string>* out);
-
 }  // namespace mad
 
-#endif  // MAD_MOLECULE_QUALIFICATION_H_
+#endif  // MAD_TESTS_SUPPORT_MOLECULE_QUALIFIER_H_
