@@ -9,6 +9,7 @@
 
 #include <iostream>
 #include <memory>
+#include <vector>
 
 #include "expr/expr.h"
 #include "molecule/derivation.h"
@@ -87,6 +88,27 @@ BENCHMARK(BM_MoleculeDerivation)
     ->Args({400, 1})
     ->Args({400, 2})
     ->Args({400, 4});
+
+void BM_MoleculeDerivationOneRoot(benchmark::State& state) {
+  // One state's molecule, engine set-up included, at parallelism 1: the
+  // cost should follow the atoms reachable from the root, so /400 stays
+  // close to /100 although the occurrence is four times larger.
+  auto& f = OpsFixture::Get(state);
+  if (f.db == nullptr) return;
+  const std::vector<mad::AtomId> roots = {f.mt->molecules().front().root()};
+  mad::DerivationStats stats;
+  for (auto _ : state) {
+    auto molecules = mad::DeriveMoleculesForRoots(
+        *f.db, f.mt->description(), roots, mad::DerivationOptions{1}, &stats);
+    if (!molecules.ok()) {
+      state.SkipWithError(molecules.status().ToString().c_str());
+      return;
+    }
+    benchmark::DoNotOptimize(&molecules);
+  }
+  state.counters["atoms_visited"] = static_cast<double>(stats.atoms_visited);
+}
+BENCHMARK(BM_MoleculeDerivationOneRoot)->Arg(100)->Arg(400);
 
 void BM_SigmaRestrict(benchmark::State& state) {
   auto& f = OpsFixture::Get(state);

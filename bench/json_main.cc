@@ -4,9 +4,15 @@
 // console output, so CI and scripts can diff benchmark results without
 // scraping stdout. The JSON shape is deliberately small and stable:
 //
-//   {"benchmark": "<binary>", "results": [
+//   {"benchmark": "<binary>",
+//    "machine": {"nproc": <int>, "compiler": "<name version>",
+//                "build_type": "<CMAKE_BUILD_TYPE>"},
+//    "results": [
 //     {"op": "<name>", "ns_per_op": <double>,
 //      "iterations": <int>, "parallelism": <int>}, ...]}
+//
+// `machine` says where the numbers came from, so a comparison across
+// machines (tools/bench_compare.py warns on an nproc mismatch) is visible.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
@@ -14,9 +20,39 @@
 #include <fstream>
 #include <iostream>
 #include <string>
+#include <thread>
 #include <vector>
 
+#ifdef __linux__
+#include <sched.h>
+#endif
+
+#ifndef MAD_BUILD_TYPE
+#define MAD_BUILD_TYPE ""
+#endif
+
 namespace {
+
+/// CPUs this process may run on (what `nproc` prints).
+unsigned ProcessorCount() {
+#ifdef __linux__
+  cpu_set_t set;
+  if (sched_getaffinity(0, sizeof(set), &set) == 0) {
+    return static_cast<unsigned>(CPU_COUNT(&set));
+  }
+#endif
+  return std::thread::hardware_concurrency();
+}
+
+std::string CompilerName() {
+#if defined(__clang__)
+  return std::string("clang ") + __clang_version__;
+#elif defined(__GNUC__)
+  return std::string("GCC ") + __VERSION__;
+#else
+  return "unknown";
+#endif
+}
 
 struct JsonRow {
   std::string op;
@@ -85,7 +121,10 @@ bool WriteJson(const std::string& path, const std::string& binary,
                const std::vector<JsonRow>& rows) {
   std::ofstream out(path, std::ios::trunc);
   if (!out) return false;
-  out << "{\"benchmark\": \"" << JsonEscape(binary) << "\", \"results\": [";
+  out << "{\"benchmark\": \"" << JsonEscape(binary) << "\",\n \"machine\": "
+      << "{\"nproc\": " << ProcessorCount() << ", \"compiler\": \""
+      << JsonEscape(CompilerName()) << "\", \"build_type\": \""
+      << JsonEscape(MAD_BUILD_TYPE) << "\"},\n \"results\": [";
   for (size_t i = 0; i < rows.size(); ++i) {
     if (i > 0) out << ",";
     out << "\n  {\"op\": \"" << JsonEscape(rows[i].op)

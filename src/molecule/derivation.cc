@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <optional>
-#include <unordered_map>
+#include <utility>
 
 #include "expr/compile.h"
 #include "util/digraph.h"
@@ -13,49 +13,29 @@
 
 namespace mad {
 
-// ---- Frozen snapshot construction -----------------------------------------
+// ---- Description resolution ----------------------------------------------
 
 Result<DerivationEngine> DerivationEngine::Create(const Database& db,
                                                  const MoleculeDescription& md,
                                                  DerivationOptions options) {
   DerivationEngine engine;
-  engine.options_ = options;
+  engine.options_ = std::move(options);
+  const std::optional<ReadView>& view = engine.options_.view;
   const size_t node_count = md.nodes().size();
   engine.nodes_.resize(node_count);
   engine.in_edges_.resize(node_count);
+  engine.out_edges_.resize(node_count);
 
-  // Dense-index maps are a build-time convenience only; the derivation loop
-  // never hashes.
-  const std::optional<ReadView>& view = options.view;
-  std::vector<std::unordered_map<AtomId, uint32_t>> dense(node_count);
   for (size_t i = 0; i < node_count; ++i) {
     MAD_ASSIGN_OR_RETURN(const AtomType* at,
                          db.GetAtomType(md.nodes()[i].type_name));
-    const AtomStore& store = at->occurrence();
-    if (view.has_value() && !store.HeadVisibleAt(*view)) {
-      // Epoch-pinned path: freeze exactly the versions visible at the view.
-      std::vector<const Atom*> snapshot = store.SnapshotAt(*view);
-      engine.nodes_[i].ids.reserve(snapshot.size());
-      engine.nodes_[i].rows.reserve(snapshot.size());
-      dense[i].reserve(snapshot.size());
-      for (size_t k = 0; k < snapshot.size(); ++k) {
-        engine.nodes_[i].ids.push_back(snapshot[k]->id);
-        engine.nodes_[i].rows.push_back(snapshot[k]);
-        dense[i].emplace(snapshot[k]->id, static_cast<uint32_t>(k));
-      }
-    } else {
-      const std::vector<Atom>& atoms = store.atoms();
-      engine.nodes_[i].ids.reserve(atoms.size());
-      engine.nodes_[i].rows.reserve(atoms.size());
-      dense[i].reserve(atoms.size());
-      for (size_t k = 0; k < atoms.size(); ++k) {
-        engine.nodes_[i].ids.push_back(atoms[k].id);
-        engine.nodes_[i].rows.push_back(&atoms[k]);
-        dense[i].emplace(atoms[k].id, static_cast<uint32_t>(k));
-      }
-    }
+    NodeSnapshot& node = engine.nodes_[i];
+    node.store = &at->occurrence();
+    node.pinned = view.has_value() && !node.store->HeadVisibleAt(*view);
     const std::vector<size_t>& ins = md.InLinksOf(md.nodes()[i].label);
     engine.in_edges_[i].assign(ins.begin(), ins.end());
+    const std::vector<size_t>& outs = md.OutLinksOf(md.nodes()[i].label);
+    engine.out_edges_[i].assign(outs.begin(), outs.end());
   }
 
   MAD_ASSIGN_OR_RETURN(engine.root_node_, md.NodeIndex(md.root_label()));
@@ -73,30 +53,10 @@ Result<DerivationEngine> DerivationEngine::Create(const Database& db,
     MAD_ASSIGN_OR_RETURN(edge.from_node, md.NodeIndex(dl.from));
     MAD_ASSIGN_OR_RETURN(edge.to_node, md.NodeIndex(dl.to));
     MAD_ASSIGN_OR_RETURN(const LinkType* lt, db.GetLinkType(dl.link_type));
-    const LinkStore& store = lt->occurrence();
-    const LinkDirection direction =
+    edge.store = &lt->occurrence();
+    edge.direction =
         dl.reverse ? LinkDirection::kBackward : LinkDirection::kForward;
-    const std::unordered_map<AtomId, uint32_t>& to_dense = dense[edge.to_node];
-
-    edge.offsets.reserve(engine.nodes_[edge.from_node].ids.size() + 1);
-    edge.offsets.push_back(0);
-    const bool pinned = view.has_value() && !store.HeadVisibleAt(*view);
-    for (AtomId from_id : engine.nodes_[edge.from_node].ids) {
-      auto add_partner = [&](AtomId partner) {
-        auto it = to_dense.find(partner);
-        if (it != to_dense.end()) edge.targets.push_back(it->second);
-      };
-      if (pinned) {
-        for (AtomId partner : store.PartnersAt(from_id, direction, *view)) {
-          add_partner(partner);
-        }
-      } else {
-        for (AtomId partner : store.Partners(from_id, direction)) {
-          add_partner(partner);
-        }
-      }
-      edge.offsets.push_back(edge.targets.size());
-    }
+    edge.pinned = view.has_value() && !edge.store->HeadVisibleAt(*view);
     engine.edges_.push_back(std::move(edge));
   }
 
@@ -114,7 +74,7 @@ Result<DerivationEngine> DerivationEngine::Create(const Database& db,
     engine.filtering_ = true;
     return Status::OK();
   };
-  for (const auto& [node_idx, program] : options.node_filters) {
+  for (const auto& [node_idx, program] : engine.options_.node_filters) {
     if (program == nullptr) continue;
     if (node_idx >= node_count) {
       return Status::InvalidArgument("pushed filter names node index " +
@@ -129,18 +89,86 @@ Result<DerivationEngine> DerivationEngine::Create(const Database& db,
     MAD_RETURN_IF_ERROR(adopt(program));
     engine.filters_by_node_[node_idx] = program;
   }
-  if (options.residual != nullptr) {
-    MAD_RETURN_IF_ERROR(adopt(options.residual));
+  if (engine.options_.residual != nullptr) {
+    MAD_RETURN_IF_ERROR(adopt(engine.options_.residual));
   }
-
-  engine.root_index_ = std::move(dense[engine.root_node_]);
   return engine;
+}
+
+// ---- Snapshot growth -------------------------------------------------------
+
+void DerivationEngine::NodeSnapshot::Touch(
+    const std::optional<ReadView>& view) {
+  if (touched) return;
+  touched = true;
+  if (pinned) {
+    // Epoch-pinned path: freeze exactly the versions visible at the view.
+    visible = store->SnapshotAt(*view);
+    visible_position.reserve(visible.size());
+    for (size_t k = 0; k < visible.size(); ++k) {
+      visible_position.emplace(visible[k]->id, static_cast<uint32_t>(k));
+    }
+  }
+  dense_of.assign(pinned ? visible.size() : store->size(), kUnadmitted);
+}
+
+std::optional<size_t> DerivationEngine::NodeSnapshot::PositionOf(
+    AtomId id) const {
+  if (!pinned) return store->PositionOf(id);
+  auto it = visible_position.find(id);
+  if (it == visible_position.end()) return std::nullopt;
+  return it->second;
+}
+
+uint32_t DerivationEngine::NodeSnapshot::Admit(size_t position) {
+  uint32_t& dense = dense_of[position];
+  if (dense == kUnadmitted) {
+    dense = static_cast<uint32_t>(ids.size());
+    const Atom* row = pinned ? visible[position] : &store->atoms()[position];
+    ids.push_back(row->id);
+    rows.push_back(row);
+  }
+  return dense;
+}
+
+void DerivationEngine::Grow() {
+  // A node's admissions come only from edges into it, and every such edge
+  // starts at an earlier node in topological order: one pass suffices.
+  for (size_t node_idx : node_order_) {
+    const NodeSnapshot& from = nodes_[node_idx];
+    for (uint32_t edge_idx : out_edges_[node_idx]) {
+      EdgeSnapshot& edge = edges_[edge_idx];
+      size_t r = edge.offsets.size() - 1;
+      if (r == from.ids.size()) continue;
+      NodeSnapshot& to = nodes_[edge.to_node];
+      to.Touch(options_.view);
+      auto admit = [&](AtomId partner) {
+        if (std::optional<size_t> position = to.PositionOf(partner)) {
+          edge.targets.push_back(to.Admit(*position));
+        }
+      };
+      for (; r < from.ids.size(); ++r) {
+        const AtomId id = from.ids[r];
+        if (edge.pinned) {
+          const ReadView& view = *options_.view;
+          for (AtomId p : edge.store->PartnersAt(id, edge.direction, view)) {
+            admit(p);
+          }
+        } else {
+          for (AtomId p : edge.store->Partners(id, edge.direction)) {
+            admit(p);
+          }
+        }
+        edge.offsets.push_back(edge.targets.size());
+      }
+    }
+  }
 }
 
 // ---- Per-worker scratch ---------------------------------------------------
 
 /// Epoch-stamped scratch, one instance per worker thread: sized once to the
-/// snapshot's occurrence sizes, then reused across every root without
+/// snapshot's admitted atoms, then reused across every root without
 /// clearing — stale entries are dead because their stamp differs from the
 /// current epoch/token.
 struct DerivationEngine::Workspace {
@@ -214,7 +242,7 @@ Result<bool> DerivationEngine::CompleteNode(size_t node_idx,
 /// parent group is complete before its children are computed; an atom joins
 /// a node's group iff it has a contained parent through *every* incoming
 /// directed link type (conjunctive ∀-semantics). The loop runs entirely on
-/// dense indexes over the frozen CSR snapshot: no hashing, no lookups.
+/// dense indexes over the grown CSR snapshot: no hashing, no lookups.
 ///
 /// Pushed filters run as each group completes — a subtree that cannot
 /// qualify is pruned before its descendants expand — and the residual
@@ -439,50 +467,60 @@ Result<std::vector<Molecule>> DerivationEngine::FanOut(
 }
 
 Result<std::vector<Molecule>> DerivationEngine::DeriveAll(
-    DerivationStats* stats) const {
-  std::vector<uint32_t> roots(root_count());
-  for (size_t i = 0; i < roots.size(); ++i) {
-    roots[i] = static_cast<uint32_t>(i);
+    DerivationStats* stats) {
+  NodeSnapshot& root = nodes_[root_node_];
+  root.Touch(options_.view);
+  std::vector<uint32_t> roots(root.dense_of.size());
+  for (size_t position = 0; position < roots.size(); ++position) {
+    roots[position] = root.Admit(position);
   }
+  Grow();
   return FanOut(roots, stats);
 }
 
 Result<std::vector<Molecule>> DerivationEngine::DeriveForRoots(
-    const std::vector<AtomId>& roots, DerivationStats* stats) const {
+    const std::vector<AtomId>& roots, DerivationStats* stats) {
   // Validate every root before deriving anything, and report all offenders
   // in one message instead of failing at the first mid-loop.
+  NodeSnapshot& root = nodes_[root_node_];
+  root.Touch(options_.view);
   std::vector<uint32_t> dense_roots;
   dense_roots.reserve(roots.size());
   std::string bad;
   size_t bad_count = 0;
-  for (AtomId root : roots) {
-    auto it = root_index_.find(root);
-    if (it == root_index_.end()) {
+  for (AtomId id : roots) {
+    std::optional<size_t> position = root.PositionOf(id);
+    if (!position.has_value()) {
       if (!bad.empty()) bad += ", ";
-      bad += "#" + std::to_string(root.value);
+      bad += "#" + std::to_string(id.value);
       ++bad_count;
       continue;
     }
-    dense_roots.push_back(it->second);
+    dense_roots.push_back(root.Admit(*position));
   }
   if (bad_count > 0) {
     return Status::NotFound(
         (bad_count == 1 ? "atom " + bad + " is" : "atoms " + bad + " are") +
         " not in root atom type '" + root_type_name_ + "'");
   }
+  Grow();
   return FanOut(dense_roots, stats);
 }
 
 Result<Molecule> DerivationEngine::DeriveFor(AtomId root,
-                                             DerivationStats* stats) const {
-  auto it = root_index_.find(root);
-  if (it == root_index_.end()) {
+                                             DerivationStats* stats) {
+  NodeSnapshot& root_node = nodes_[root_node_];
+  root_node.Touch(options_.view);
+  std::optional<size_t> position = root_node.PositionOf(root);
+  if (!position.has_value()) {
     return Status::NotFound("atom #" + std::to_string(root.value) +
                             " is not in root atom type '" + root_type_name_ +
                             "'");
   }
+  const uint32_t root_dense = root_node.Admit(*position);
+  Grow();
   Workspace ws = MakeWorkspace();
-  MAD_ASSIGN_OR_RETURN(std::optional<Molecule> m, DeriveOne(it->second, ws));
+  MAD_ASSIGN_OR_RETURN(std::optional<Molecule> m, DeriveOne(root_dense, ws));
   if (!m.has_value()) {
     return Status::NotFound("molecule #" + std::to_string(root.value) +
                             " was rejected by pushed-down qualification");

@@ -45,33 +45,46 @@ struct DerivationOptions {
   /// groups inside the fan-out, before materialization.
   const expr::CompiledPredicate* residual = nullptr;
   // The compiled programs are borrowed and must outlive every derive call.
-  /// Epoch pin: when set, Create() freezes the snapshot from the versions
-  /// visible at this view instead of the head (DESIGN.md §11). Pushed
-  /// programs must then be compiled with the same view. nullopt keeps the
-  /// historical zero-cost head path bit-for-bit.
+  /// Epoch pin: when set, derivation reads the versions visible at this view
+  /// instead of the head (DESIGN.md §11). A store the view can read as-is
+  /// (`HeadVisibleAt`) is still read through its head; any other is read
+  /// through `SnapshotAt` (frozen when a derive call first reaches it) and
+  /// `PartnersAt`. Pushed programs must then be compiled with the same view.
+  /// nullopt keeps the zero-cost head path bit-for-bit.
   std::optional<ReadView> view;
 };
 
 /// The derivation engine behind m_dom (Def. 6): a molecule description
-/// resolved against one database into a *frozen snapshot* — per description
-/// edge a CSR-style adjacency array (offsets + dense target indexes built
-/// once from the LinkStore), per node a dense-index <-> AtomId mapping.
-/// The *structural* derivation loop never reads the database after
-/// Create(): it does zero hashing and zero name lookups, answering from the
-/// snapshot even if the database mutates. Pushed-down predicate programs
-/// are the one exception — their dense `const Atom*` rows point into the
-/// atom stores, so filtered derivation additionally requires that the
-/// database is not mutated between Create() and the derive call (the same
-/// contract CompiledPredicate itself carries; build a new engine after
-/// mutations, which σ and the MQL session do anyway).
+/// resolved against one database, plus a snapshot of the part of its atom
+/// networks that derive calls have reached so far. Def. 6 grows a molecule
+/// from its root along the description's directed links, so a derive call
+/// first *admits* its roots, then grows the snapshot in topological order:
+/// every atom admitted since the last growth gets a CSR-style adjacency row
+/// on each outgoing description edge (dense partner indexes built from the
+/// LinkStore), and its partners are admitted as they are found. A call
+/// therefore costs the atoms reachable from its roots, not the size of each
+/// atom type's occurrence. The snapshot persists across calls on one
+/// engine, so repeated and overlapping calls only pay for atoms they reach
+/// first. The per-root derivation loop does zero hashing and zero name
+/// lookups, and output order never depends on which call admitted an atom:
+/// groups follow edge-row order, which is LinkStore partner order.
+///
+/// Mutation contract: the database must not change between Create() and
+/// the last derive call. Later calls resolve further atoms in the stores,
+/// and the snapshot's rows point into them — the same contract the pushed
+/// CompiledPredicate programs carry. Build a new engine after mutations, as
+/// σ and the MQL session (which holds the reader lock for the whole
+/// statement) do.
 ///
 /// Derivation fans out over root atoms on a shared worker pool; each worker
-/// owns an epoch-stamped scratch workspace so no per-root allocation or
-/// clearing is needed, and results are written into per-root slots so the
-/// output order never depends on thread scheduling.
+/// owns an epoch-stamped scratch workspace sized to the admitted atoms, so
+/// no per-root allocation or clearing is needed, and results are written
+/// into per-root slots so the output order never depends on thread
+/// scheduling.
 class DerivationEngine {
  public:
-  /// Resolves `md` against `db` and freezes the adjacency snapshot.
+  /// Resolves `md` against `db`: atom and link stores, topological order,
+  /// in- and out-edges, pushed programs. Reads no atom or link.
   static Result<DerivationEngine> Create(const Database& db,
                                          const MoleculeDescription& md,
                                          DerivationOptions options = {});
@@ -79,45 +92,73 @@ class DerivationEngine {
   /// One molecule per root-atom-type atom, in occurrence order. Molecules
   /// rejected by pushed filters are omitted (the survivors keep occurrence
   /// order and are bit-identical to derive-then-restrict).
-  Result<std::vector<Molecule>> DeriveAll(DerivationStats* stats = nullptr) const;
+  Result<std::vector<Molecule>> DeriveAll(DerivationStats* stats = nullptr);
 
   /// Molecules for exactly `roots`, in the given order (filter rejections
-  /// omitted). Every root is validated against the snapshot up front;
-  /// invalid ids are reported together in one NotFound status.
+  /// omitted). Every root is validated up front; invalid ids are reported
+  /// together in one NotFound status.
   Result<std::vector<Molecule>> DeriveForRoots(
-      const std::vector<AtomId>& roots, DerivationStats* stats = nullptr) const;
+      const std::vector<AtomId>& roots, DerivationStats* stats = nullptr);
 
   /// The single molecule rooted at `root`.
-  Result<Molecule> DeriveFor(AtomId root, DerivationStats* stats = nullptr) const;
-
-  /// Number of atoms of the root atom type in the snapshot.
-  size_t root_count() const { return nodes_[root_node_].ids.size(); }
+  Result<Molecule> DeriveFor(AtomId root, DerivationStats* stats = nullptr);
 
  private:
+  static constexpr uint32_t kUnadmitted = UINT32_MAX;
+
+  /// One description node's share of the snapshot. An atom is admitted —
+  /// given the next dense index — when a derive call first reaches it, as a
+  /// root or as a partner.
   struct NodeSnapshot {
-    /// Dense index -> atom id, in atom-type occurrence order.
+    const AtomStore* store = nullptr;
+    /// The view cannot read the store's head as-is: occurrence positions
+    /// index `visible`, the versions visible at the view, instead of the
+    /// head.
+    bool pinned = false;
+    bool touched = false;
+    /// Pinned only: SnapshotAt(view) and its id -> position map.
+    std::vector<const Atom*> visible;
+    std::unordered_map<AtomId, uint32_t> visible_position;
+    /// Occurrence position -> dense index, kUnadmitted until admitted.
+    std::vector<uint32_t> dense_of;
+    /// Dense index -> atom id, in admission order.
     std::vector<AtomId> ids;
-    /// Dense index -> atom row in the store (same order as `ids`): pushed
-    /// predicate programs read attribute values by index with no per-atom
-    /// hashing. Borrowed from the store — see the mutation contract above.
+    /// Dense index -> atom row (same order as `ids`): pushed predicate
+    /// programs read attribute values by index with no per-atom hashing.
+    /// Borrowed from the store — see the mutation contract above.
     std::vector<const Atom*> rows;
+
+    /// Sizes `dense_of` (and, when pinned, freezes `visible`) on first use.
+    void Touch(const std::optional<ReadView>& view);
+    /// Occurrence position of `id`, or nullopt when the occurrence (at the
+    /// view) does not hold it. Requires Touch().
+    std::optional<size_t> PositionOf(AtomId id) const;
+    /// Dense index of the atom at `position`, admitting it on first sight.
+    uint32_t Admit(size_t position);
   };
   /// One directed description edge as a CSR adjacency over dense indexes:
-  /// row r (an atom of `from_node`, occurrence order) spans
+  /// row r (the `from_node` atom of dense index r) spans
   /// targets[offsets[r] .. offsets[r+1]), each entry the dense index of a
-  /// partner atom of `to_node`. Row order preserves LinkStore::Partners
-  /// order, which keeps the engine's output identical to the historical
-  /// per-hop-lookup engine.
+  /// partner atom of `to_node`. Rows exist for the first offsets.size() - 1
+  /// admitted atoms. Row order preserves LinkStore::Partners order, which
+  /// keeps the engine's output identical to the historical per-hop-lookup
+  /// engine.
   struct EdgeSnapshot {
     size_t from_node = 0;
     size_t to_node = 0;
-    std::vector<size_t> offsets;
+    const LinkStore* store = nullptr;
+    LinkDirection direction = LinkDirection::kForward;
+    bool pinned = false;  // read PartnersAt(view) instead of Partners()
+    std::vector<size_t> offsets{0};
     std::vector<uint32_t> targets;
   };
   struct Workspace;
 
   DerivationEngine() = default;
 
+  /// Gives every admitted atom without rows its row on each outgoing edge,
+  /// node by node in topological order, admitting partners as found.
+  void Grow();
   /// Derives the molecule for one root; nullopt when a pushed filter or the
   /// residual program rejected it, an error status when a program failed to
   /// evaluate.
@@ -139,8 +180,9 @@ class DerivationEngine {
   std::vector<EdgeSnapshot> edges_;
   std::vector<size_t> node_order_;  // node indexes in topo order, root first
   size_t root_node_ = 0;
-  std::vector<std::vector<uint32_t>> in_edges_;  // per node: edge indexes
-  std::unordered_map<AtomId, uint32_t> root_index_;  // root id -> dense index
+  /// Per node: the indexes of the description edges into and out of it.
+  std::vector<std::vector<uint32_t>> in_edges_;
+  std::vector<std::vector<uint32_t>> out_edges_;
   std::string root_type_name_;  // for error messages
 };
 

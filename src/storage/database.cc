@@ -854,8 +854,14 @@ void Database::RollbackTransaction(Transaction& txn) {
         const AtomId id = it->atom_handle->atom.id;
         Status s = store.Resurrect(it->atom_handle);
         (void)s;
-        if (const Atom* atom = store.Find(id); atom != nullptr) {
-          IndexInsert(it->type_name, *atom);
+        // Resurrect restores the atom's head position; its index entries
+        // go back to the same place, not to the end of their buckets.
+        const Atom* atom = store.Find(id);
+        auto type_it = indexes_.find(it->type_name);
+        if (atom != nullptr && type_it != indexes_.end()) {
+          for (auto& [attr, index] : type_it->second) {
+            index->InsertInHeadOrder(*atom, store);
+          }
         }
         break;
       }

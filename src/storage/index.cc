@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "storage/atom_store.h"
+
 namespace mad {
 
 namespace {
@@ -10,6 +12,17 @@ const std::vector<AtomId> kNoMatches;
 
 void AttributeIndex::Insert(const Atom& atom) {
   buckets_[atom.values[value_index_]].push_back(atom.id);
+  ++entries_;
+}
+
+void AttributeIndex::InsertInHeadOrder(const Atom& atom,
+                                       const AtomStore& head) {
+  std::vector<AtomId>& bucket = buckets_[atom.values[value_index_]];
+  const size_t position = *head.PositionOf(atom.id);
+  auto place = std::partition_point(
+      bucket.begin(), bucket.end(),
+      [&](AtomId id) { return *head.PositionOf(id) < position; });
+  bucket.insert(place, atom.id);
   ++entries_;
 }
 

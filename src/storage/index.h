@@ -10,6 +10,8 @@
 
 namespace mad {
 
+class AtomStore;
+
 /// A hash index over one attribute of one atom type: value -> atom ids.
 /// Maintained by the owning Database on every occurrence mutation; used by
 /// the equality fast path of the atom-type restriction σ and exposed for
@@ -26,10 +28,18 @@ class AttributeIndex {
   const std::string& attribute() const { return attribute_; }
   size_t value_index() const { return value_index_; }
 
+  /// Appends `atom` to its bucket: its place when it is the newest entry of
+  /// the head.
   void Insert(const Atom& atom);
+  /// Inserts `atom` at its head-order place in its bucket: before the first
+  /// entry that `head` holds at a later position. For an atom restored into
+  /// the middle of the head (rollback of a delete); the bucket must already
+  /// be in head order.
+  void InsertInHeadOrder(const Atom& atom, const AtomStore& head);
   void Erase(const Atom& atom);
 
-  /// Atom ids whose attribute equals `value`, in insertion order.
+  /// Atom ids whose attribute equals `value`, in the head order of the
+  /// atom type's occurrence.
   const std::vector<AtomId>& Lookup(const Value& value) const;
 
   /// Number of distinct indexed values.

@@ -253,6 +253,48 @@ TEST(DurableDatabaseTest, TransactionWritesReplayInCommitOrder) {
   fs::remove_all(dir);
 }
 
+/// Rolling back a DELETE or an UPDATE puts the atom back at its old head
+/// position; its index entries must go back to the same place in their
+/// buckets, or an index lookup orders atoms differently from a scan — live,
+/// and against the rebuilt index after reopening.
+TEST(DurableDatabaseTest, RollbackKeepsIndexBucketsInHeadOrder) {
+  std::string dir = TestDir("rollback_bucket_order");
+  AtomId root;
+  std::string live_order;
+  {
+    auto durable = DurableDatabase::Open(dir);
+    ASSERT_TRUE(durable.ok()) << durable.status();
+    Database& db = (*durable)->database();
+    Schema schema;
+    ASSERT_TRUE(schema.AddAttribute("name", DataType::kString).ok());
+    ASSERT_TRUE(schema.AddAttribute("kind", DataType::kString).ok());
+    ASSERT_TRUE(db.DefineAtomType("part", schema).ok());
+    ASSERT_TRUE(db.DefineLinkType("composition", "part", "part").ok());
+    ASSERT_TRUE(db.CreateIndex("part", "kind").ok());
+    auto a = db.InsertAtom("part", {Value("a"), Value("k")});
+    auto b = db.InsertAtom("part", {Value("b"), Value("k")});
+    auto c = db.InsertAtom("part", {Value("c"), Value("k")});
+    ASSERT_TRUE(a.ok() && b.ok() && c.ok());
+    root = *a;
+    ASSERT_TRUE(db.InsertLink("composition", *a, *c).ok());
+
+    std::unique_ptr<Transaction> txn = db.Begin();
+    ASSERT_TRUE(db.DeleteAtom("part", *a, txn.get()).ok());
+    ASSERT_TRUE(
+        db.UpdateAtom("part", *b, {Value("b2"), Value("k")}, txn.get()).ok());
+    ASSERT_TRUE(txn->Rollback().ok());
+
+    live_order = OrderDigest(db, root);
+    EXPECT_EQ(live_order, "a,b,c,|c,|a,b,c,");
+    EXPECT_TRUE(db.CheckConsistency().ok());
+    ASSERT_TRUE((*durable)->Sync().ok());
+  }
+  auto durable = DurableDatabase::Open(dir);
+  ASSERT_TRUE(durable.ok()) << durable.status();
+  EXPECT_EQ(OrderDigest((*durable)->database(), root), live_order);
+  fs::remove_all(dir);
+}
+
 /// The ISSUE's acceptance harness: truncate the WAL at EVERY byte offset
 /// and assert recovery always succeeds with a database equal to the state
 /// after some prefix of the logged records — never a crash, never a

@@ -3,15 +3,19 @@
 
 The bench_* binaries emit, via their --json flag, one file each of the form
 
-    {"benchmark": "bench_perf_clone", "results": [
+    {"benchmark": "bench_perf_clone",
+     "machine": {"nproc": 4, "compiler": "GCC 12.2.0", "build_type": "Release"},
+     "results": [
       {"op": "BM_CloneDatabase/100", "ns_per_op": 123.4,
        "iterations": 1000, "parallelism": 1}, ...]}
+
+`machine` is optional (older files and bench_perf_server have none).
 
 This tool has two subcommands:
 
   merge <out.json> <in.json...>
       Combine per-binary result files into one baseline file (the shape is a
-      JSON array of the per-binary objects). Used to refresh
+      JSON array of the per-binary objects, `machine` kept). Used to refresh
       BENCH_baseline.json.
 
   compare --baseline <baseline.json> [--threshold 0.25] <current.json...>
@@ -21,7 +25,10 @@ This tool has two subcommands:
       ERROR and also exits 1: new benchmarks must land with their baseline
       rows, otherwise the regression gate silently never covers them.
       Baseline ops missing from the current run are reported but don't fail
-      (compare is also used against single-binary subsets).
+      (compare is also used against single-binary subsets). The baseline and
+      current machines are printed first; a warning, never a failure, flags
+      an nproc mismatch or a baseline that records no machine, since then
+      the timings come from different hardware.
 
 CI runs `compare`; a >threshold regression fails the job unless the PR
 carries the `perf-regression-ok` label (the workflow checks the label, not
@@ -47,6 +54,54 @@ def load_results(path):
     return out
 
 
+def load_machines(path):
+    """Returns the distinct `machine` objects of a result or baseline file,
+    with None standing for groups that record no machine."""
+    with open(path) as f:
+        data = json.load(f)
+    groups = data if isinstance(data, list) else [data]
+    machines = []
+    for group in groups:
+        machine = group.get("machine")
+        if machine not in machines:
+            machines.append(machine)
+    return machines
+
+
+def describe_machine(machine):
+    if machine is None:
+        return "unrecorded"
+    return ", ".join(f"{key}={machine[key]}" for key in sorted(machine))
+
+
+def check_machines(baseline_path, current_paths):
+    """Prints both sides' machines and warns, never fails, when their
+    timings may come from different hardware."""
+    baseline = load_machines(baseline_path)
+    current = []
+    for path in current_paths:
+        for machine in load_machines(path):
+            if machine not in current:
+                current.append(machine)
+    for label, machines in (("baseline", baseline), ("current", current)):
+        for machine in machines:
+            print(f"{label} machine: {describe_machine(machine)}")
+    if None in baseline:
+        print(
+            "WARNING: baseline records no machine: its timings may come from "
+            "other hardware",
+            file=sys.stderr,
+        )
+    base_nproc = {m["nproc"] for m in baseline if m and "nproc" in m}
+    cur_nproc = {m["nproc"] for m in current if m and "nproc" in m}
+    if base_nproc and cur_nproc and base_nproc != cur_nproc:
+        print(
+            f"WARNING: nproc differs: baseline {sorted(base_nproc)}, current "
+            f"{sorted(cur_nproc)}; parallel rows do not compare",
+            file=sys.stderr,
+        )
+
+
 def merge(out_path, in_paths):
     groups = []
     for path in in_paths:
@@ -63,6 +118,7 @@ def merge(out_path, in_paths):
 
 
 def compare(baseline_path, current_paths, threshold):
+    check_machines(baseline_path, current_paths)
     baseline = load_results(baseline_path)
     current = {}
     for path in current_paths:

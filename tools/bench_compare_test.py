@@ -19,14 +19,32 @@ def write_json(directory, name, payload):
     return path
 
 
-def result_file(benchmark, ops):
-    return {
+def result_file(benchmark, ops, machine=None):
+    payload = {
         "benchmark": benchmark,
         "results": [
             {"op": op, "ns_per_op": ns, "iterations": 100, "parallelism": 1}
             for op, ns in ops.items()
         ],
     }
+    if machine is not None:
+        payload["machine"] = machine
+    return payload
+
+
+def machine(nproc):
+    return {"nproc": nproc, "compiler": "GCC 12.2.0", "build_type": "Release"}
+
+
+def run_compare(baseline, currents, threshold=0.25):
+    """compare() with its stdout and stderr captured."""
+    import contextlib
+    import io
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = bench_compare.compare(baseline, currents, threshold)
+    return rc, out.getvalue(), err.getvalue()
 
 
 class BenchCompareTest(unittest.TestCase):
@@ -143,6 +161,75 @@ class BenchCompareTest(unittest.TestCase):
             },
         )
         self.assertEqual(bench_compare.compare(merged, [a, b], 0.25), 0)
+
+    def test_compare_prints_both_machines(self):
+        ops = {"BM_Clone/100": 1000.0}
+        baseline = write_json(
+            self.dir,
+            "machine_baseline.json",
+            [result_file("bench_perf_clone", ops, machine(4))],
+        )
+        current = write_json(
+            self.dir,
+            "current.json",
+            result_file("bench_perf_clone", ops, machine(4)),
+        )
+        rc, out, err = run_compare(baseline, [current])
+        self.assertEqual(rc, 0)
+        self.assertIn(
+            "baseline machine: build_type=Release, compiler=GCC 12.2.0, "
+            "nproc=4",
+            out,
+        )
+        self.assertIn("current machine: build_type=Release", out)
+        self.assertNotIn("WARNING", err)
+
+    def test_nproc_mismatch_warns_without_failing(self):
+        ops = {"BM_Clone/100": 1000.0}
+        baseline = write_json(
+            self.dir,
+            "machine_baseline.json",
+            [result_file("bench_perf_clone", ops, machine(1))],
+        )
+        current = write_json(
+            self.dir,
+            "current.json",
+            result_file("bench_perf_clone", ops, machine(4)),
+        )
+        rc, _, err = run_compare(baseline, [current])
+        self.assertEqual(rc, 0)
+        self.assertIn("WARNING: nproc differs: baseline [1], current [4]", err)
+
+    def test_baseline_without_machine_warns_without_failing(self):
+        current = write_json(
+            self.dir,
+            "current.json",
+            result_file("bench_perf_clone", {"BM_Clone/100": 1000.0}, machine(4)),
+        )
+        rc, out, err = run_compare(self.baseline, [current])
+        self.assertEqual(rc, 0)
+        self.assertIn("baseline machine: unrecorded", out)
+        self.assertIn("WARNING: baseline records no machine", err)
+        self.assertNotIn("nproc differs", err)
+
+    def test_merge_keeps_machine(self):
+        a = write_json(
+            self.dir,
+            "a.json",
+            result_file("bench_perf_clone", {"BM_Clone/100": 1000.0}, machine(4)),
+        )
+        b = write_json(
+            self.dir,
+            "b.json",
+            result_file("bench_perf_molecule_ops", {"BM_Derive/100/1": 2000.0}),
+        )
+        merged = os.path.join(self.dir, "merged.json")
+        self.assertEqual(bench_compare.merge(merged, [a, b]), 0)
+        with open(merged) as f:
+            groups = {g["benchmark"]: g for g in json.load(f)}
+        self.assertEqual(groups["bench_perf_clone"]["machine"], machine(4))
+        self.assertNotIn("machine", groups["bench_perf_molecule_ops"])
+        self.assertEqual(bench_compare.load_machines(merged), [machine(4), None])
 
     def test_cli_exit_codes(self):
         slow = write_json(
