@@ -135,7 +135,7 @@ void RunDeriveThenRestrict(benchmark::State& state, const e::ExprPtr& where) {
       state.SkipWithError(derived.status().ToString().c_str());
       return;
     }
-    auto result = mad::RestrictMolecules(*f.db, *derived, where, "m", 0);
+    auto result = mad::RestrictMolecules(*f.db, *derived, where, "m");
     if (!result.ok()) {
       state.SkipWithError(result.status().ToString().c_str());
       return;

@@ -63,15 +63,14 @@ struct OpsFixture {
 };
 
 void BM_MoleculeDerivation(benchmark::State& state) {
-  // The molecule-type definition operator `a` itself, at an explicit thread
-  // count (range(1)); snapshot build + fan-out per iteration.
+  // The molecule-type definition operator `a` itself; snapshot build +
+  // fan-out per iteration.
   auto& f = OpsFixture::Get(state);
   if (f.db == nullptr) return;
-  mad::DerivationOptions opts{static_cast<unsigned>(state.range(1))};
   mad::DerivationStats stats;
   for (auto _ : state) {
     auto mt = mad::DefineMoleculeType(*f.db, "bench", f.mt->description(),
-                                      opts, &stats);
+                                      {}, &stats);
     if (!mt.ok()) {
       state.SkipWithError(mt.status().ToString().c_str());
       return;
@@ -81,25 +80,19 @@ void BM_MoleculeDerivation(benchmark::State& state) {
   state.counters["atoms_visited"] = static_cast<double>(stats.atoms_visited);
   state.counters["links_scanned"] = static_cast<double>(stats.links_scanned);
 }
-BENCHMARK(BM_MoleculeDerivation)
-    ->Args({100, 1})
-    ->Args({100, 2})
-    ->Args({100, 4})
-    ->Args({400, 1})
-    ->Args({400, 2})
-    ->Args({400, 4});
+BENCHMARK(BM_MoleculeDerivation)->Arg(100)->Arg(400);
 
 void BM_MoleculeDerivationOneRoot(benchmark::State& state) {
-  // One state's molecule, engine set-up included, at parallelism 1: the
-  // cost should follow the atoms reachable from the root, so /400 stays
-  // close to /100 although the occurrence is four times larger.
+  // One state's molecule, engine set-up included: the cost should follow
+  // the atoms reachable from the root, so /400 stays close to /100 although
+  // the occurrence is four times larger.
   auto& f = OpsFixture::Get(state);
   if (f.db == nullptr) return;
   const std::vector<mad::AtomId> roots = {f.mt->molecules().front().root()};
   mad::DerivationStats stats;
   for (auto _ : state) {
-    auto molecules = mad::DeriveMoleculesForRoots(
-        *f.db, f.mt->description(), roots, mad::DerivationOptions{1}, &stats);
+    auto molecules = mad::DeriveMoleculesForRoots(*f.db, f.mt->description(),
+                                                  roots, {}, &stats);
     if (!molecules.ok()) {
       state.SkipWithError(molecules.status().ToString().c_str());
       return;

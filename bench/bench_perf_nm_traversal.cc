@@ -77,37 +77,12 @@ void BM_MadNmWalk(benchmark::State& state) {
 }
 BENCHMARK(BM_MadNmWalk)->Arg(10)->Arg(50)->Arg(200);
 
-void BM_MadNmWalkParallel(benchmark::State& state) {
-  // Same walk, explicit thread count (range(1)); results are bit-identical
-  // at every setting, so only the wall time may move.
-  auto& f = NmFixture::Get(state);
-  if (f.md == nullptr) return;
-  mad::DerivationOptions opts{static_cast<unsigned>(state.range(1))};
-  for (auto _ : state) {
-    auto mv = mad::DeriveMolecules(*f.db, *f.md, opts);
-    if (!mv.ok()) {
-      state.SkipWithError(mv.status().ToString().c_str());
-      return;
-    }
-    benchmark::DoNotOptimize(&mv);
-  }
-}
-BENCHMARK(BM_MadNmWalkParallel)
-    ->Args({50, 1})
-    ->Args({50, 2})
-    ->Args({50, 4})
-    ->Args({200, 1})
-    ->Args({200, 2})
-    ->Args({200, 4});
-
 void BM_MadNmWalkSnapshotReuse(benchmark::State& state) {
   // Amortises the frozen-snapshot build across derivations — the repeated-
   // query shape (the MQL session reuses one engine the same way).
   auto& f = NmFixture::Get(state);
   if (f.md == nullptr) return;
-  auto engine = mad::DerivationEngine::Create(
-      *f.db, *f.md,
-      mad::DerivationOptions{static_cast<unsigned>(state.range(1))});
+  auto engine = mad::DerivationEngine::Create(*f.db, *f.md);
   if (!engine.ok()) {
     state.SkipWithError(engine.status().ToString().c_str());
     return;
@@ -121,10 +96,7 @@ void BM_MadNmWalkSnapshotReuse(benchmark::State& state) {
     benchmark::DoNotOptimize(&mv);
   }
 }
-BENCHMARK(BM_MadNmWalkSnapshotReuse)
-    ->Args({200, 1})
-    ->Args({200, 2})
-    ->Args({200, 4});
+BENCHMARK(BM_MadNmWalkSnapshotReuse)->Arg(200);
 
 void BM_RelationalNmWalk(benchmark::State& state) {
   auto& f = NmFixture::Get(state);

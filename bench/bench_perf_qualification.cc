@@ -168,15 +168,13 @@ BENCHMARK(BM_QualifyCompiledCount)->Arg(100)->Arg(400);
 BENCHMARK(BM_QualifyInterpreterForAll)->Arg(100)->Arg(400);
 BENCHMARK(BM_QualifyCompiledForAll)->Arg(100)->Arg(400);
 
-/// Σ as the operator now runs it: compiled program, optional worker pool.
+/// Σ as the operator runs it: the compiled program over every molecule.
 void BM_SigmaCompiled(benchmark::State& state) {
   auto& f = QualFixture::Get(state);
   if (f.db == nullptr) return;
   auto pred = DeepPredicate();
-  unsigned parallelism = static_cast<unsigned>(state.range(1));
   for (auto _ : state) {
-    auto result =
-        mad::RestrictMolecules(*f.db, *f.mt, pred, "sigma", parallelism);
+    auto result = mad::RestrictMolecules(*f.db, *f.mt, pred, "sigma");
     if (!result.ok()) {
       state.SkipWithError(result.status().ToString().c_str());
       return;
@@ -184,7 +182,7 @@ void BM_SigmaCompiled(benchmark::State& state) {
     benchmark::DoNotOptimize(&result);
   }
 }
-BENCHMARK(BM_SigmaCompiled)->Args({100, 1})->Args({400, 1})->Args({400, 4});
+BENCHMARK(BM_SigmaCompiled)->Arg(100)->Arg(400);
 
 /// End-to-end MQL: derivation with the WHERE fused in (pushdown on) vs
 /// derive-everything-then-restrict (pushdown off, the same WHERE through
@@ -195,13 +193,12 @@ void BM_SelectPushdownOff(benchmark::State& state) {
   auto pred = DeepPredicate();
   size_t size = 0;
   for (auto _ : state) {
-    auto derived = mad::DefineMoleculeType(*f.db, "m", f.mt->description(),
-                                           mad::DerivationOptions{1});
+    auto derived = mad::DefineMoleculeType(*f.db, "m", f.mt->description());
     if (!derived.ok()) {
       state.SkipWithError(derived.status().ToString().c_str());
       return;
     }
-    auto result = mad::RestrictMolecules(*f.db, *derived, pred, "m", 1);
+    auto result = mad::RestrictMolecules(*f.db, *derived, pred, "m");
     if (!result.ok()) {
       state.SkipWithError(result.status().ToString().c_str());
       return;
@@ -215,9 +212,7 @@ void BM_SelectPushdownOff(benchmark::State& state) {
 void BM_SelectPushdownOn(benchmark::State& state) {
   auto& f = QualFixture::Get(state);
   if (f.db == nullptr) return;
-  mad::mql::SessionOptions options;
-  options.parallelism = 1;
-  mad::mql::Session session(f.db.get(), options);
+  mad::mql::Session session(f.db.get());
   const std::string query =
       "SELECT ALL FROM m(state-area-edge-point) WHERE point.x > 990.0;";
   size_t size = 0;

@@ -150,10 +150,8 @@ void BM_VecSigmaBatch(benchmark::State& state) {
   auto& f = VecFixture::Get(state);
   if (f.db == nullptr) return;
   auto pred = DeepPredicate();
-  unsigned parallelism = static_cast<unsigned>(state.range(1));
   for (auto _ : state) {
-    auto result =
-        mad::RestrictMolecules(*f.db, *f.mt, pred, "sigma", parallelism);
+    auto result = mad::RestrictMolecules(*f.db, *f.mt, pred, "sigma");
     if (!result.ok()) {
       state.SkipWithError(result.status().ToString().c_str());
       return;
@@ -161,7 +159,7 @@ void BM_VecSigmaBatch(benchmark::State& state) {
     benchmark::DoNotOptimize(&result);
   }
 }
-BENCHMARK(BM_VecSigmaBatch)->Args({400, 1})->Args({400, 4})->Args({400, 8});
+BENCHMARK(BM_VecSigmaBatch)->Arg(400);
 
 /// End-to-end MQL without an index: the columnar scan seed prunes the root
 /// fan-out from the kernel's pass bitmap (vs the same WHERE through the
@@ -173,13 +171,12 @@ void BM_VecSelectScanSeedOff(benchmark::State& state) {
   auto pred = e::Gt(e::Attr("state", "hectare"), e::Lit(int64_t{9000}));
   size_t size = 0;
   for (auto _ : state) {
-    auto derived = mad::DefineMoleculeType(*f.db, "m", f.mt->description(),
-                                           mad::DerivationOptions{1});
+    auto derived = mad::DefineMoleculeType(*f.db, "m", f.mt->description());
     if (!derived.ok()) {
       state.SkipWithError(derived.status().ToString().c_str());
       return;
     }
-    auto result = mad::RestrictMolecules(*f.db, *derived, pred, "m", 1);
+    auto result = mad::RestrictMolecules(*f.db, *derived, pred, "m");
     if (!result.ok()) {
       state.SkipWithError(result.status().ToString().c_str());
       return;
@@ -193,9 +190,7 @@ void BM_VecSelectScanSeedOff(benchmark::State& state) {
 void BM_VecSelectScanSeedOn(benchmark::State& state) {
   auto& f = VecFixture::Get(state);
   if (f.db == nullptr) return;
-  mad::mql::SessionOptions options;
-  options.parallelism = 1;
-  mad::mql::Session session(f.db.get(), options);
+  mad::mql::Session session(f.db.get());
   const std::string query =
       "SELECT ALL FROM m(state-area-edge-point) WHERE state.hectare > 9000;";
   size_t size = 0;

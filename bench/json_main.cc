@@ -8,8 +8,7 @@
 //    "machine": {"nproc": <int>, "compiler": "<name version>",
 //                "build_type": "<CMAKE_BUILD_TYPE>"},
 //    "results": [
-//     {"op": "<name>", "ns_per_op": <double>,
-//      "iterations": <int>, "parallelism": <int>}, ...]}
+//     {"op": "<name>", "ns_per_op": <double>, "iterations": <int>}, ...]}
 //
 // `machine` says where the numbers came from, so a comparison across
 // machines (tools/bench_compare.py warns on an nproc mismatch) is visible.
@@ -58,7 +57,6 @@ struct JsonRow {
   std::string op;
   double ns_per_op = 0.0;
   int64_t iterations = 0;
-  int64_t parallelism = 1;
 };
 
 /// Console reporter that also keeps a row per successful iteration run
@@ -72,7 +70,6 @@ class CollectingReporter : public benchmark::ConsoleReporter {
       JsonRow row;
       row.op = run.benchmark_name();
       row.iterations = run.iterations;
-      row.parallelism = run.threads;
       if (run.iterations > 0) {
         row.ns_per_op = run.real_accumulated_time /
                         static_cast<double>(run.iterations) * 1e9;
@@ -129,8 +126,7 @@ bool WriteJson(const std::string& path, const std::string& binary,
     if (i > 0) out << ",";
     out << "\n  {\"op\": \"" << JsonEscape(rows[i].op)
         << "\", \"ns_per_op\": " << rows[i].ns_per_op
-        << ", \"iterations\": " << rows[i].iterations
-        << ", \"parallelism\": " << rows[i].parallelism << "}";
+        << ", \"iterations\": " << rows[i].iterations << "}";
   }
   out << "\n]}\n";
   return out.good();

@@ -204,7 +204,7 @@ Result<OpResult> Restrict(Database& db, const std::string& source,
   }
   static Counter& ops = Registry::Global().GetCounter("atom_ops.sigma");
   ops.Increment();
-  ScopedSpan span("atom.sigma", predicate->ToString());
+  ScopedSpan span("atom.sigma", [&] { return predicate->ToString(); });
   MAD_ASSIGN_OR_RETURN(const AtomType* at, db.GetAtomType(source));
   span.set_rows_in(static_cast<int64_t>(at->occurrence().size()));
   MAD_RETURN_IF_ERROR(
@@ -283,7 +283,7 @@ Result<OpResult> CartesianProduct(Database& db, const std::string& left,
                                   const AlgebraOptions& options) {
   static Counter& ops = Registry::Global().GetCounter("atom_ops.x");
   ops.Increment();
-  ScopedSpan span("atom.x", left + " x " + right);
+  ScopedSpan span("atom.x", [&] { return left + " x " + right; });
   MAD_ASSIGN_OR_RETURN(const AtomType* lt, db.GetAtomType(left));
   MAD_ASSIGN_OR_RETURN(const AtomType* rt, db.GetAtomType(right));
   span.set_rows_in(
@@ -331,7 +331,7 @@ Result<OpResult> Join(Database& db, const std::string& left,
   }
   static Counter& ops = Registry::Global().GetCounter("atom_ops.join");
   ops.Increment();
-  ScopedSpan span("atom.join", predicate->ToString());
+  ScopedSpan span("atom.join", [&] { return predicate->ToString(); });
   MAD_ASSIGN_OR_RETURN(const AtomType* lt, db.GetAtomType(left));
   MAD_ASSIGN_OR_RETURN(const AtomType* rt, db.GetAtomType(right));
   span.set_rows_in(
@@ -411,7 +411,7 @@ Result<OpResult> Union(Database& db, const std::string& left,
                        const AlgebraOptions& options) {
   static Counter& ops = Registry::Global().GetCounter("atom_ops.omega");
   ops.Increment();
-  ScopedSpan span("atom.omega", left + " + " + right);
+  ScopedSpan span("atom.omega", [&] { return left + " + " + right; });
   MAD_ASSIGN_OR_RETURN(const AtomType* lt, db.GetAtomType(left));
   MAD_ASSIGN_OR_RETURN(const AtomType* rt, db.GetAtomType(right));
   MAD_RETURN_IF_ERROR(CheckUnionCompatible(*lt, *rt));
@@ -446,7 +446,7 @@ Result<OpResult> Difference(Database& db, const std::string& left,
                             const AlgebraOptions& options) {
   static Counter& ops = Registry::Global().GetCounter("atom_ops.delta");
   ops.Increment();
-  ScopedSpan span("atom.delta", left + " - " + right);
+  ScopedSpan span("atom.delta", [&] { return left + " - " + right; });
   MAD_ASSIGN_OR_RETURN(const AtomType* lt, db.GetAtomType(left));
   MAD_ASSIGN_OR_RETURN(const AtomType* rt, db.GetAtomType(right));
   MAD_RETURN_IF_ERROR(CheckUnionCompatible(*lt, *rt));
@@ -476,7 +476,7 @@ Result<OpResult> Intersection(Database& db, const std::string& left,
                               const AlgebraOptions& options) {
   static Counter& ops = Registry::Global().GetCounter("atom_ops.psi");
   ops.Increment();
-  ScopedSpan span("atom.psi", left + " & " + right);
+  ScopedSpan span("atom.psi", [&] { return left + " & " + right; });
   // Ψ(at1, at2) = δ(at1, δ(at1, at2)) — the paper's derived-operator recipe
   // applied at the atom-type level. The intermediate result is dropped.
   AlgebraOptions quiet = options;

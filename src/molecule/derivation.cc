@@ -8,7 +8,6 @@
 #include "expr/compile.h"
 #include "util/digraph.h"
 #include "util/metrics.h"
-#include "util/thread_pool.h"
 #include "util/trace.h"
 
 namespace mad {
@@ -165,9 +164,9 @@ void DerivationEngine::Grow() {
   }
 }
 
-// ---- Per-worker scratch ---------------------------------------------------
+// ---- Per-call scratch -----------------------------------------------------
 
-/// Epoch-stamped scratch, one instance per worker thread: sized once to the
+/// Epoch-stamped scratch, one instance per derive call: sized once to the
 /// snapshot's admitted atoms, then reused across every root without
 /// clearing — stale entries are dead because their stamp differs from the
 /// current epoch/token.
@@ -353,83 +352,24 @@ Result<std::optional<Molecule>> DerivationEngine::DeriveOne(
   return std::optional<Molecule>(std::move(m));
 }
 
-// ---- Parallel fan-out -----------------------------------------------------
+// ---- Fan-out over the roots ----------------------------------------------
 
 Result<std::vector<Molecule>> DerivationEngine::FanOut(
     const std::vector<uint32_t>& roots, DerivationStats* stats) const {
-  unsigned parallelism = options_.parallelism != 0
-                             ? options_.parallelism
-                             : ThreadPool::DefaultParallelism();
-  parallelism = static_cast<unsigned>(std::min<size_t>(
-      parallelism, std::max<size_t>(1, roots.size())));
-
-  // One span covers the whole fan-out; the per-root hot loop on the worker
-  // threads stays span-free (it aggregates into DerivationStats instead).
-  ScopedSpan span("derive",
-                  std::to_string(parallelism) + " thread" +
-                      (parallelism == 1 ? "" : "s"));
+  // One span covers the whole fan-out; the per-root loop stays span-free
+  // (it aggregates into DerivationStats instead).
+  ScopedSpan span("derive");
   span.set_rows_in(static_cast<int64_t>(roots.size()));
 
   const auto start = std::chrono::steady_clock::now();
-
-  std::vector<Workspace> workspaces;
-  workspaces.reserve(parallelism);
-  for (unsigned w = 0; w < parallelism; ++w) {
-    workspaces.push_back(MakeWorkspace());
-  }
-
-  // Pre-sized slots keyed by root position: whatever thread derives slot i,
-  // the output order is root order — bit-for-bit identical to a serial run.
-  // A filter rejection leaves its slot empty; an evaluation error is
-  // recorded per worker and the error of the *smallest* root index wins
-  // after the join, so the reported status never depends on scheduling.
-  std::vector<std::optional<Molecule>> slots(roots.size());
-  struct WorkerError {
-    size_t index;
-    Status status;
-  };
-  std::vector<std::optional<WorkerError>> worker_errors(parallelism);
-  const size_t chunk =
-      std::max<size_t>(1, roots.size() / (static_cast<size_t>(parallelism) * 8));
-  ThreadPool::Shared().ParallelFor(
-      roots.size(), chunk, parallelism,
-      [&](unsigned worker, size_t begin, size_t end) {
-        Workspace& ws = workspaces[worker];
-        for (size_t i = begin; i < end; ++i) {
-          Result<std::optional<Molecule>> derived = DeriveOne(roots[i], ws);
-          if (!derived.ok()) {
-            std::optional<WorkerError>& err = worker_errors[worker];
-            if (!err.has_value() || i < err->index) {
-              err = WorkerError{i, derived.status()};
-            }
-            continue;
-          }
-          slots[i] = std::move(derived).value();
-        }
-      });
-
-  const WorkerError* first_error = nullptr;
-  for (const std::optional<WorkerError>& err : worker_errors) {
-    if (err.has_value() &&
-        (first_error == nullptr || err->index < first_error->index)) {
-      first_error = &*err;
-    }
-  }
-  if (first_error != nullptr) return first_error->status;
-
+  Workspace ws = MakeWorkspace();
+  // Roots are derived in order, so the output is root order; a filter
+  // rejection derives no molecule, and the first evaluation error wins.
   std::vector<Molecule> molecules;
-  molecules.reserve(slots.size());
-  for (std::optional<Molecule>& slot : slots) {
-    if (slot.has_value()) molecules.push_back(std::move(*slot));
-  }
-
-  size_t atoms_visited = 0;
-  size_t links_scanned = 0;
-  size_t rejected = 0;
-  for (const Workspace& ws : workspaces) {
-    atoms_visited += ws.atoms_visited;
-    links_scanned += ws.links_scanned;
-    rejected += ws.rejected;
+  molecules.reserve(roots.size());
+  for (uint32_t root : roots) {
+    MAD_ASSIGN_OR_RETURN(std::optional<Molecule> m, DeriveOne(root, ws));
+    if (m.has_value()) molecules.push_back(std::move(*m));
   }
   const double wall_ms = std::chrono::duration<double, std::milli>(
                              std::chrono::steady_clock::now() - start)
@@ -437,10 +377,9 @@ Result<std::vector<Molecule>> DerivationEngine::FanOut(
   if (stats != nullptr) {
     *stats = DerivationStats{};
     stats->roots = roots.size();
-    stats->threads_used = parallelism;
-    stats->atoms_visited = atoms_visited;
-    stats->links_scanned = links_scanned;
-    stats->molecules_rejected = rejected;
+    stats->atoms_visited = ws.atoms_visited;
+    stats->links_scanned = ws.links_scanned;
+    stats->molecules_rejected = ws.rejected;
     stats->wall_ms = wall_ms;
   }
 
@@ -457,9 +396,9 @@ Result<std::vector<Molecule>> DerivationEngine::FanOut(
   static Histogram& wall_hist =
       Registry::Global().GetHistogram("derivation.fanout_us");
   roots_counter.Add(roots.size());
-  atoms_counter.Add(atoms_visited);
-  links_counter.Add(links_scanned);
-  rejected_counter.Add(rejected);
+  atoms_counter.Add(ws.atoms_visited);
+  links_counter.Add(ws.links_scanned);
+  rejected_counter.Add(ws.rejected);
   wall_hist.Observe(static_cast<uint64_t>(wall_ms * 1000.0));
 
   span.set_rows_out(static_cast<int64_t>(molecules.size()));
@@ -491,8 +430,8 @@ Result<std::vector<Molecule>> DerivationEngine::DeriveForRoots(
   for (AtomId id : roots) {
     std::optional<size_t> position = root.PositionOf(id);
     if (!position.has_value()) {
-      if (!bad.empty()) bad += ", ";
-      bad += "#" + std::to_string(id.value);
+      bad += bad.empty() ? "#" : ", #";
+      bad += std::to_string(id.value);
       ++bad_count;
       continue;
     }
@@ -528,7 +467,6 @@ Result<Molecule> DerivationEngine::DeriveFor(AtomId root,
   if (stats != nullptr) {
     *stats = DerivationStats{};
     stats->roots = 1;
-    stats->threads_used = 1;
     stats->atoms_visited = ws.atoms_visited;
     stats->links_scanned = ws.links_scanned;
   }

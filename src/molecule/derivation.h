@@ -23,12 +23,11 @@ class CompiledPredicate;
 /// Tuning knobs of the derivation engine.
 struct DerivationOptions {
   DerivationOptions() = default;
+  /// No-op, kept with `parallelism` only for the servebench sources, which
+  /// still name them. Derivation always runs on the calling thread.
   explicit DerivationOptions(unsigned p) : parallelism(p) {}
 
-  /// Worker threads for the per-root fan-out (the calling thread counts as
-  /// one). 0 means hardware_concurrency. Output is bit-for-bit identical at
-  /// every setting: molecules land in pre-sized root-order slots, and the
-  /// per-root derivation itself is single-threaded.
+  /// No-op (see the constructor above): nothing reads it.
   unsigned parallelism = 0;
   /// Pushed-down qualification: (node index, compiled program) pairs, at
   /// most one per node. Each program must reference only its own node
@@ -42,7 +41,7 @@ struct DerivationOptions {
   std::vector<std::pair<size_t, const expr::CompiledPredicate*>> node_filters;
   /// Molecule-level residue of the WHERE clause (multi-node conjuncts,
   /// disjunctions, FORALL across nodes): evaluated over the completed
-  /// groups inside the fan-out, before materialization.
+  /// groups of each molecule, before materialization.
   const expr::CompiledPredicate* residual = nullptr;
   // The compiled programs are borrowed and must outlive every derive call.
   /// Epoch pin: when set, derivation reads the versions visible at this view
@@ -76,11 +75,9 @@ struct DerivationOptions {
 /// σ and the MQL session (which holds the reader lock for the whole
 /// statement) do.
 ///
-/// Derivation fans out over root atoms on a shared worker pool; each worker
-/// owns an epoch-stamped scratch workspace sized to the admitted atoms, so
-/// no per-root allocation or clearing is needed, and results are written
-/// into per-root slots so the output order never depends on thread
-/// scheduling.
+/// A derive call runs on the calling thread: one epoch-stamped scratch
+/// workspace sized to the admitted atoms serves every root, so no per-root
+/// allocation or clearing is needed, and molecules come out in root order.
 class DerivationEngine {
  public:
   /// Resolves `md` against `db`: atom and link stores, topological order,

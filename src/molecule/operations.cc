@@ -6,7 +6,6 @@
 
 #include "expr/compile.h"
 #include "util/metrics.h"
-#include "util/thread_pool.h"
 #include "util/trace.h"
 
 namespace mad {
@@ -36,13 +35,13 @@ Result<MoleculeType> RestrictMolecules(const Database& db,
                                        const MoleculeType& mt,
                                        const expr::ExprPtr& predicate,
                                        std::string result_name,
-                                       unsigned parallelism,
                                        std::optional<ReadView> view) {
   MAD_RETURN_IF_ERROR(CheckName(result_name));
   static Counter& ops = Registry::Global().GetCounter("molecule_ops.sigma");
   ops.Increment();
-  ScopedSpan span("sigma",
-                  predicate == nullptr ? "<null>" : predicate->ToString());
+  ScopedSpan span("sigma", [&] {
+    return predicate == nullptr ? std::string("<null>") : predicate->ToString();
+  });
   span.set_rows_in(static_cast<int64_t>(mt.size()));
   MAD_ASSIGN_OR_RETURN(
       expr::CompiledPredicate program,
@@ -51,50 +50,10 @@ Result<MoleculeType> RestrictMolecules(const Database& db,
   const std::vector<Molecule>& molecules = mt.molecules();
   const size_t n = molecules.size();
   std::vector<char> verdicts(n, 0);
-  if (parallelism == 0) parallelism = ThreadPool::DefaultParallelism();
-
-  if (parallelism > 1 && n > 1) {
-    // The serial loop stops at the first failing molecule; the parallel one
-    // must report that same molecule's error regardless of scheduling. The
-    // chunk cursor is monotone, so each worker sees ascending indexes: its
-    // first error is its smallest, and the global minimum over workers is
-    // the serial answer.
-    struct WorkerError {
-      size_t index;
-      Status status;
-    };
-    std::vector<std::optional<WorkerError>> errors(parallelism);
-    std::vector<expr::CompiledPredicate::Scratch> scratch(parallelism);
-    const size_t chunk =
-        std::max<size_t>(1, n / (static_cast<size_t>(parallelism) * 8));
-    ThreadPool::Shared().ParallelFor(
-        n, chunk, parallelism,
-        [&](unsigned worker, size_t begin, size_t end) {
-          if (errors[worker].has_value()) return;
-          for (size_t i = begin; i < end; ++i) {
-            Result<bool> hit =
-                program.EvalMolecule(molecules[i], scratch[worker]);
-            if (!hit.ok()) {
-              errors[worker] = WorkerError{i, hit.status()};
-              return;
-            }
-            verdicts[i] = *hit ? 1 : 0;
-          }
-        });
-    std::optional<WorkerError> first;
-    for (std::optional<WorkerError>& err : errors) {
-      if (err.has_value() && (!first.has_value() || err->index < first->index)) {
-        first = std::move(err);
-      }
-    }
-    if (first.has_value()) return first->status;
-  } else {
-    expr::CompiledPredicate::Scratch scratch;
-    for (size_t i = 0; i < n; ++i) {
-      MAD_ASSIGN_OR_RETURN(bool hit,
-                           program.EvalMolecule(molecules[i], scratch));
-      verdicts[i] = hit ? 1 : 0;
-    }
+  expr::CompiledPredicate::Scratch scratch;
+  for (size_t i = 0; i < n; ++i) {
+    MAD_ASSIGN_OR_RETURN(bool hit, program.EvalMolecule(molecules[i], scratch));
+    verdicts[i] = hit ? 1 : 0;
   }
 
   // Copy survivors once, into exactly-sized storage: no reallocation moves,

@@ -17,18 +17,13 @@ namespace mad {
 /// Molecule-type restriction Σ[restr(md)](mt) (Def. 10): keeps the
 /// molecules satisfying the qualification formula. The description is
 /// unchanged (rsd = md). The formula is compiled once into a flat predicate
-/// program and evaluated per molecule; with `parallelism` > 1 (0 = hardware
-/// concurrency) verdicts are computed across the shared worker pool. Output
-/// order and error selection (the first failing molecule in input order)
-/// are independent of the thread count. With `view`, the predicate program
+/// program and evaluated per molecule, in input order; the first failing
+/// molecule's error is returned. With `view`, the predicate program
 /// resolves molecule atoms through the versions visible at that epoch
 /// (DESIGN.md §11) — pass the view the operand was derived at.
-Result<MoleculeType> RestrictMolecules(const Database& db,
-                                       const MoleculeType& mt,
-                                       const expr::ExprPtr& predicate,
-                                       std::string result_name,
-                                       unsigned parallelism = 1,
-                                       std::optional<ReadView> view = std::nullopt);
+Result<MoleculeType> RestrictMolecules(
+    const Database& db, const MoleculeType& mt, const expr::ExprPtr& predicate,
+    std::string result_name, std::optional<ReadView> view = std::nullopt);
 
 /// Specification of a molecule-type projection Π: which node labels to
 /// keep (must include the root and stay coherent) and, optionally, which

@@ -1,6 +1,5 @@
 #include "molecule/recursive.h"
 
-#include "molecule/derivation.h"
 #include "util/metrics.h"
 #include "util/trace.h"
 
@@ -41,7 +40,8 @@ Result<RecursiveMolecule> DeriveRecursiveMoleculeFor(
   size_t links_traversed = 0;
   while (!frontier.empty() &&
          (rd.max_depth < 0 || depth < rd.max_depth)) {
-    ScopedSpan round_span("closure-round", "depth " + std::to_string(depth));
+    ScopedSpan round_span("closure-round",
+                          [&] { return "depth " + std::to_string(depth); });
     round_span.set_rows_in(static_cast<int64_t>(frontier.size()));
     std::vector<AtomId> next;
     auto expand = [&](AtomId atom, AtomId partner) {
@@ -94,7 +94,8 @@ Result<std::vector<RecursiveMolecule>> DeriveRecursiveMolecules(
       roots.push_back(atom.id);
     }
   }
-  ScopedSpan span("closure", rd.atom_type + " via " + rd.link_type);
+  ScopedSpan span("closure",
+                  [&] { return rd.atom_type + " via " + rd.link_type; });
   span.set_rows_in(static_cast<int64_t>(roots.size()));
   span.set_rows_out(static_cast<int64_t>(roots.size()));
   std::vector<RecursiveMolecule> molecules;
@@ -105,68 +106,6 @@ Result<std::vector<RecursiveMolecule>> DeriveRecursiveMolecules(
     molecules.push_back(std::move(m));
   }
   return molecules;
-}
-
-namespace {
-
-Status CheckExpansionRoot(const RecursiveDescription& rd,
-                          const MoleculeDescription& expansion) {
-  if (expansion.root_node().type_name != rd.atom_type) {
-    return Status::InvalidArgument(
-        "expansion structure must be rooted at '" + rd.atom_type +
-        "', found '" + expansion.root_node().type_name + "'");
-  }
-  return Status::OK();
-}
-
-}  // namespace
-
-Result<ExpandedRecursiveMolecule> DeriveExpandedRecursiveMoleculeFor(
-    const Database& db, const RecursiveDescription& rd,
-    const MoleculeDescription& expansion, AtomId root,
-    std::optional<ReadView> view) {
-  MAD_RETURN_IF_ERROR(CheckExpansionRoot(rd, expansion));
-  ExpandedRecursiveMolecule out{RecursiveMolecule(root), {}};
-  MAD_ASSIGN_OR_RETURN(out.closure,
-                       DeriveRecursiveMoleculeFor(db, rd, root, view));
-  std::vector<AtomId> members;
-  for (const auto& level : out.closure.levels()) {
-    members.insert(members.end(), level.begin(), level.end());
-  }
-  DerivationOptions options;
-  options.view = view;
-  MAD_ASSIGN_OR_RETURN(out.components,
-                       DeriveMoleculesForRoots(db, expansion, members, options));
-  return out;
-}
-
-Result<std::vector<ExpandedRecursiveMolecule>>
-DeriveExpandedRecursiveMolecules(const Database& db,
-                                 const RecursiveDescription& rd,
-                                 const MoleculeDescription& expansion,
-                                 std::optional<ReadView> view) {
-  MAD_RETURN_IF_ERROR(ValidateRecursiveDescription(db, rd));
-  MAD_RETURN_IF_ERROR(CheckExpansionRoot(rd, expansion));
-  MAD_ASSIGN_OR_RETURN(const AtomType* at, db.GetAtomType(rd.atom_type));
-  std::vector<AtomId> roots;
-  if (view.has_value() && !at->occurrence().HeadVisibleAt(*view)) {
-    for (const Atom* atom : at->occurrence().SnapshotAt(*view)) {
-      roots.push_back(atom->id);
-    }
-  } else {
-    for (const Atom& atom : at->occurrence().atoms()) {
-      roots.push_back(atom.id);
-    }
-  }
-  std::vector<ExpandedRecursiveMolecule> out;
-  out.reserve(roots.size());
-  for (AtomId root : roots) {
-    MAD_ASSIGN_OR_RETURN(
-        ExpandedRecursiveMolecule m,
-        DeriveExpandedRecursiveMoleculeFor(db, rd, expansion, root, view));
-    out.push_back(std::move(m));
-  }
-  return out;
 }
 
 Result<size_t> PropagateClosureLinks(Database& db,

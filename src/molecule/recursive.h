@@ -6,8 +6,6 @@
 #include <unordered_set>
 #include <vector>
 
-#include "molecule/description.h"
-#include "molecule/molecule.h"
 #include "storage/database.h"
 #include "storage/version.h"
 #include "util/result.h"
@@ -82,33 +80,6 @@ Result<RecursiveMolecule> DeriveRecursiveMoleculeFor(
 Result<std::vector<RecursiveMolecule>> DeriveRecursiveMolecules(
     const Database& db, const RecursiveDescription& rd,
     std::optional<ReadView> view = std::nullopt);
-
-/// A recursive molecule whose closure members are expanded by a plain
-/// molecule structure — [Schö89]'s recursive molecule types as full data
-/// model objects: the closure gives the skeleton, and every member atom
-/// carries its own component molecule (e.g. each part of an explosion with
-/// its suppliers and documents).
-struct ExpandedRecursiveMolecule {
-  RecursiveMolecule closure;
-  /// One component molecule per distinct closure member (the root
-  /// included), in closure level order.
-  std::vector<Molecule> components;
-};
-
-/// Derives the recursive molecule for `root` and expands every member with
-/// `expansion`, whose root node must be the recursion's atom type. A view
-/// pins both the closure and the component derivations to one epoch.
-Result<ExpandedRecursiveMolecule> DeriveExpandedRecursiveMoleculeFor(
-    const Database& db, const RecursiveDescription& rd,
-    const MoleculeDescription& expansion, AtomId root,
-    std::optional<ReadView> view = std::nullopt);
-
-/// One expanded recursive molecule per atom of the recursion's atom type.
-Result<std::vector<ExpandedRecursiveMolecule>>
-DeriveExpandedRecursiveMolecules(const Database& db,
-                                 const RecursiveDescription& rd,
-                                 const MoleculeDescription& expansion,
-                                 std::optional<ReadView> view = std::nullopt);
 
 /// Materialises the recursion result as a first-class schema object
 /// (recursive molecule types as data model objects, [Schö89]): defines a

@@ -53,9 +53,7 @@ std::string FormatMoleculeTypeStats(const MoleculeTypeStats& stats);
 
 /// Counters recorded by one molecule-derivation run (DeriveMolecules /
 /// DeriveMoleculesForRoots / DefineMoleculeType). Every field except
-/// `wall_ms` is deterministic — independent of thread count and chunking —
-/// because the per-root work is identical and the per-worker counters are
-/// summed after the join.
+/// `wall_ms` is deterministic.
 struct DerivationStats {
   /// Root atoms fanned out over (== molecules derived plus molecules
   /// rejected by pushed-down qualification).
@@ -70,8 +68,6 @@ struct DerivationStats {
   /// (per-node filters or the residual program) before materialization.
   /// Always 0 when no filters were pushed.
   size_t molecules_rejected = 0;
-  /// Worker threads the fan-out was allowed to use (caller included).
-  unsigned threads_used = 1;
   /// End-to-end wall time of the derivation fan-out, snapshot build
   /// excluded. The only nondeterministic field.
   double wall_ms = 0.0;

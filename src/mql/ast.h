@@ -147,8 +147,8 @@ struct ExplainStatement {
 /// (util/metrics.h) — counters, gauges, and latency histograms.
 struct ShowMetricsStatement {};
 
-/// SET option [=] value: a session tuning command, e.g. `SET PARALLELISM 4`
-/// or `SET SYNC ON`. The option name is a case-insensitive identifier
+/// SET option [=] value: a session tuning command, e.g. `SET TRACE ON`
+/// or `SET SYNC = 0`. The option name is a case-insensitive identifier
 /// interpreted by the session; values are non-negative integers, with
 /// ON/OFF accepted as spellings of 1/0.
 struct SetOptionStatement {

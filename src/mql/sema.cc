@@ -18,7 +18,7 @@ namespace mql {
 
 const std::vector<std::string>& KnownSessionOptions() {
   static const std::vector<std::string> kOptions = {
-      "PARALLELISM", "PIN SNAPSHOT", "SYNC", "TRACE"};
+      "PIN SNAPSHOT", "SYNC", "TRACE"};
   return kOptions;
 }
 
@@ -1117,13 +1117,7 @@ void AnalyzeSetOption(const SetOptionStatement& stmt,
     AddSuggestion(&d, stmt.option, options);
     return;
   }
-  if (matched == "PARALLELISM") {
-    if (stmt.value < 0) {
-      Emit(out, DiagId::kInvalidOptionValue,
-           "PARALLELISM must be >= 0 (0 selects hardware concurrency)",
-           stmt.value_span);
-    }
-  } else if (stmt.value != 0 && stmt.value != 1) {
+  if (stmt.value != 0 && stmt.value != 1) {
     Emit(out, DiagId::kInvalidOptionValue,
          matched + " must be ON/1 or OFF/0", stmt.value_span);
   }

@@ -14,7 +14,6 @@
 #include "text/printer.h"
 #include "util/metrics.h"
 #include "util/string_util.h"
-#include "util/thread_pool.h"
 #include "util/trace.h"
 
 namespace mad {
@@ -51,8 +50,9 @@ Result<Roots> SeedRoots(const Database& db, const SelectPlan& plan) {
     // Bucket order is index insertion order, which diverges from occurrence
     // order after updates.
     const IndexSeed& seed = *pushdown.seed;
-    ScopedSpan span("index-seed", type + "." + seed.attribute + " = " +
-                                      seed.value.ToString());
+    ScopedSpan span("index-seed", [&] {
+      return type + "." + seed.attribute + " = " + seed.value.ToString();
+    });
     span.set_rows_in(static_cast<int64_t>(store.size()));
     const std::vector<AtomId>& bucket = seed.index->Lookup(seed.value);
     std::vector<std::pair<size_t, AtomId>> ordered;
@@ -70,7 +70,7 @@ Result<Roots> SeedRoots(const Database& db, const SelectPlan& plan) {
   // The batch compare kernel over the whole root column; the row order is
   // occurrence order by construction.
   const ScanSeed& seed = *pushdown.scan_seed;
-  ScopedSpan span("seed-scan", type + ": " + seed.display);
+  ScopedSpan span("seed-scan", [&] { return type + ": " + seed.display; });
   const ColumnSet& columns = store.columns();
   span.set_rows_in(static_cast<int64_t>(columns.rows()));
   expr::RowBitmaps bits;
@@ -93,7 +93,7 @@ Result<Roots> SeedRoots(const Database& db, const SelectPlan& plan) {
 Result<std::vector<RecursiveMolecule>> RestrictClosures(
     const Database& db, const SelectPlan& plan, const ReadView& view,
     std::vector<RecursiveMolecule> closures) {
-  ScopedSpan span("sigma", plan.where->ToString());
+  ScopedSpan span("sigma", [&] { return plan.where->ToString(); });
   span.set_rows_in(static_cast<int64_t>(closures.size()));
   MAD_ASSIGN_OR_RETURN(const AtomType* at,
                        db.GetAtomType(plan.recursive->atom_type));
@@ -124,8 +124,7 @@ Result<std::vector<RecursiveMolecule>> RestrictClosures(
 /// Executes a recursive plan: closure, then Σ, then the expansion tail.
 Result<QueryResult> ExecuteRecursive(const Database& db,
                                      const SelectPlan& plan,
-                                     const ReadView& view,
-                                     unsigned parallelism) {
+                                     const ReadView& view) {
   QueryResult result;
   result.epoch = view.epoch;
   result.kind = QueryResult::Kind::kRecursive;
@@ -141,13 +140,14 @@ Result<QueryResult> ExecuteRecursive(const Database& db,
   // One component molecule per closure member, derived only for the
   // closures that survived Σ. One engine serves every closure: the
   // adjacency snapshot is built once, not once per recursive molecule.
-  DerivationOptions dopts{parallelism};
+  DerivationOptions dopts;
   dopts.view = view;
   MAD_ASSIGN_OR_RETURN(DerivationEngine engine,
                        DerivationEngine::Create(db, *plan.expansion, dopts));
   DerivationStats totals;
   for (const RecursiveMolecule& m : result.recursive) {
-    ScopedSpan span("expand", "root #" + std::to_string(m.root().value));
+    ScopedSpan span("expand",
+                    [&] { return "root #" + std::to_string(m.root().value); });
     std::vector<AtomId> members;
     for (const auto& level : m.levels()) {
       members.insert(members.end(), level.begin(), level.end());
@@ -160,7 +160,6 @@ Result<QueryResult> ExecuteRecursive(const Database& db,
     totals.roots += stats.roots;
     totals.atoms_visited += stats.atoms_visited;
     totals.links_scanned += stats.links_scanned;
-    totals.threads_used = std::max(totals.threads_used, stats.threads_used);
     totals.wall_ms += stats.wall_ms;
     result.recursive_components.push_back(std::move(components));
   }
@@ -173,11 +172,9 @@ Result<QueryResult> ExecuteRecursive(const Database& db,
 /// (node filters at group completion, the residual in the fan-out) over the
 /// seeded roots, then Π.
 Result<QueryResult> ExecutePlan(const Database& db, const SelectPlan& plan,
-                                const ReadView& view, unsigned parallelism) {
-  if (plan.recursive.has_value()) {
-    return ExecuteRecursive(db, plan, view, parallelism);
-  }
-  DerivationOptions dopts{parallelism};
+                                const ReadView& view) {
+  if (plan.recursive.has_value()) return ExecuteRecursive(db, plan, view);
+  DerivationOptions dopts;
   dopts.view = view;
   for (size_t i = 0; i < plan.node_programs.size(); ++i) {
     dopts.node_filters.emplace_back(plan.pushdown.node_filters[i].node_index,
@@ -193,7 +190,9 @@ Result<QueryResult> ExecutePlan(const Database& db, const SelectPlan& plan,
     // The fused Σ: rows_in counts the roots fanned out over, rows_out the
     // molecules surviving the pushed programs.
     std::optional<ScopedSpan> sigma;
-    if (plan.where != nullptr) sigma.emplace("sigma", plan.where->ToString());
+    if (plan.where != nullptr) {
+      sigma.emplace("sigma", [&] { return plan.where->ToString(); });
+    }
     MAD_ASSIGN_OR_RETURN(
         DerivationEngine engine,
         DerivationEngine::Create(db, *plan.description, dopts));
@@ -228,10 +227,6 @@ Session::Session(Database* db, SessionOptions options)
                        "mql.session." + std::to_string(session_id_) + ".") {
   session_statements_ = &session_metrics_.GetCounter("statements");
   session_latency_ = &session_metrics_.GetHistogram("statement_us");
-  session_parallelism_ = &session_metrics_.GetGauge("parallelism");
-  session_parallelism_->Set(options_.parallelism == 0
-                                ? ThreadPool::DefaultParallelism()
-                                : options_.parallelism);
   if (options_.pin_snapshot) RefreshSnapshotPin();
 }
 
@@ -266,10 +261,14 @@ Status Session::WrapConflict(Status status) {
 
 Result<QueryResult> Session::Execute(const std::string& text) {
   MAD_ASSIGN_OR_RETURN(Statement stmt, ParseStatement(text));
+  return Execute(std::move(stmt));
+}
+
+Result<QueryResult> Session::Execute(Statement statement) {
   std::vector<Diagnostic> diags = AnalyzeStatement(
-      *db_, registry_, stmt, AnalyzerContext{txn_ != nullptr});
+      *db_, registry_, statement, AnalyzerContext{txn_ != nullptr});
   if (HasErrors(diags)) return DiagnosticsToStatus(diags);
-  Result<QueryResult> result = Run(std::move(stmt));
+  Result<QueryResult> result = Run(std::move(statement));
   if (result.ok()) {
     for (Diagnostic& warning : WarningsOnly(diags)) {
       result->diagnostics.push_back(std::move(warning));
@@ -287,15 +286,8 @@ Result<std::vector<QueryResult>> Session::ExecuteScript(
     // Analyze per statement, not upfront: later statements must see the
     // catalog effects of earlier DDL in the script (and the transaction
     // lints the BEGIN/COMMIT state of earlier statements).
-    std::vector<Diagnostic> diags = AnalyzeStatement(
-        *db_, registry_, stmt, AnalyzerContext{txn_ != nullptr});
-    if (HasErrors(diags)) return DiagnosticsToStatus(diags);
-    Result<QueryResult> result = Run(std::move(stmt));
-    if (!result.ok()) return result.status();
-    for (Diagnostic& warning : WarningsOnly(diags)) {
-      result->diagnostics.push_back(std::move(warning));
-    }
-    results.push_back(std::move(*result));
+    MAD_ASSIGN_OR_RETURN(QueryResult result, Execute(std::move(stmt)));
+    results.push_back(std::move(result));
   }
   return results;
 }
@@ -406,8 +398,7 @@ Result<QueryResult> Session::RunSelect(const SelectStatement& stmt,
     MAD_RETURN_IF_ERROR(
         RegisterMoleculeType(stmt.from.molecule_name, *plan.description));
   }
-  MAD_ASSIGN_OR_RETURN(QueryResult result,
-                       ExecutePlan(*db_, plan, view, options_.parallelism));
+  MAD_ASSIGN_OR_RETURN(QueryResult result, ExecutePlan(*db_, plan, view));
   select_span.set_rows_out(static_cast<int64_t>(
       result.molecules != nullptr ? result.molecules->size()
                                   : result.recursive.size()));
@@ -627,7 +618,6 @@ Result<QueryResult> Session::RunSetOption(SetOptionStatement stmt) {
   const std::vector<std::string>& options = KnownSessionOptions();
   for (const std::string& option : options) {
     if (!EqualsIgnoreCase(stmt.option, option)) continue;
-    if (option == "PARALLELISM") return SetParallelism(stmt.value);
     if (option == "SYNC") return SetSync(stmt.value);
     if (option == "PIN SNAPSHOT") return SetPinSnapshot(stmt.value);
     return SetTrace(stmt.value);
@@ -639,25 +629,6 @@ Result<QueryResult> Session::RunSetOption(SetOptionStatement stmt) {
   }
   return Status::InvalidArgument("unknown session option '" + stmt.option +
                                  "'; available: " + available);
-}
-
-Result<QueryResult> Session::SetParallelism(int64_t value) {
-  if (value < 0) {
-    return Status::InvalidArgument(
-        "PARALLELISM must be >= 0 (0 selects hardware concurrency)");
-  }
-  options_.parallelism = static_cast<unsigned>(value);
-  session_parallelism_->Set(value == 0 ? ThreadPool::DefaultParallelism()
-                                       : value);
-  QueryResult result;
-  result.message =
-      options_.parallelism == 0
-          ? "parallelism set to auto (" +
-                std::to_string(ThreadPool::DefaultParallelism()) +
-                " threads)"
-          : "parallelism set to " + std::to_string(options_.parallelism) +
-                " thread" + (options_.parallelism == 1 ? "" : "s");
-  return result;
 }
 
 Result<QueryResult> Session::SetSync(int64_t value) {

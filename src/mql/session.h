@@ -56,9 +56,8 @@ struct QueryResult {
 
 /// Execution tuning knobs.
 struct SessionOptions {
-  /// Worker threads for molecule derivation (0 = hardware_concurrency);
-  /// adjustable at runtime with `SET PARALLELISM n`. Results are identical
-  /// at every setting.
+  /// No-op, kept only for the servebench sources, which still print it.
+  /// Each statement runs on the thread that executes it.
   unsigned parallelism = 0;
   /// Per-mutation fsync for databases attached with OPEN; adjustable at
   /// runtime with `SET SYNC ON|OFF`.
@@ -92,6 +91,9 @@ class Session {
   /// errors block execution (the returned Status carries one line per
   /// error); warnings ride along in QueryResult::diagnostics.
   Result<QueryResult> Execute(const std::string& text);
+  /// Execute for an already-parsed statement: analyzes, runs, and attaches
+  /// the analyzer's warnings.
+  Result<QueryResult> Execute(Statement statement);
 
   /// Parses a ';'-separated script upfront, then analyzes and executes each
   /// statement in turn, stopping at the first error. Per-statement analysis
@@ -99,7 +101,7 @@ class Session {
   /// earlier DDL.
   Result<std::vector<QueryResult>> ExecuteScript(const std::string& text);
 
-  /// Executes an already-parsed statement.
+  /// Executes an already-parsed statement without analyzing it.
   Result<QueryResult> Run(Statement statement);
 
   /// Registers a molecule-type description under a reusable name.
@@ -155,9 +157,8 @@ class Session {
   /// other statuses pass through unchanged.
   static Status WrapConflict(Status status);
 
-  // SET option handlers, dispatched through kSessionOptions in session.cc;
-  // the table is also the source of the "available: ..." error list.
-  Result<QueryResult> SetParallelism(int64_t value);
+  // SET option handlers, dispatched over KnownSessionOptions() (sema.h),
+  // which is also the source of the "available: ..." error list.
   Result<QueryResult> SetSync(int64_t value);
   Result<QueryResult> SetTrace(int64_t value);
   Result<QueryResult> SetPinSnapshot(int64_t value);
@@ -174,17 +175,13 @@ class Session {
   std::unique_ptr<DurableDatabase> durable_;
   uint64_t session_id_;
   /// Per-session labeled metric handles ("mql.session.<id>.*"), registered
-  /// through an evictable scope: options like PARALLELISM are per-session
-  /// state, so their gauges must be too — a process-wide "mql.parallelism"
-  /// gauge would let concurrent sessions overwrite each other's readings —
-  /// and the scope erases the labels again on session close, so session
-  /// churn cannot grow the registry without bound. The process-wide
-  /// "mql.statements" / "mql.statement_us" aggregates remain alongside
-  /// (observability dashboards and tests pin those names).
+  /// through an evictable scope that erases the labels again on session
+  /// close, so session churn cannot grow the registry without bound. The
+  /// process-wide "mql.statements" / "mql.statement_us" aggregates remain
+  /// alongside (observability dashboards and tests pin those names).
   ScopedMetrics session_metrics_;
   Counter* session_statements_;
   Histogram* session_latency_;
-  Gauge* session_parallelism_;
   /// The cross-statement read pin of SET PIN SNAPSHOT. Declared after
   /// durable_ so it releases against a still-live database on destruction;
   /// RunOpen releases it by hand before swapping databases.

@@ -424,8 +424,10 @@ Message MadServer::RunStatement(const std::shared_ptr<Connection>& conn,
   conn->statements->Increment();
 
   // Server sessions share the one database this server was given; OPEN
-  // would swap this session alone onto a private durable store. Parse
-  // up-front (cheap next to execution) to reject it with a clear error.
+  // would swap this session alone onto a private durable store. The one
+  // parse of the statement rejects it with a clear error; OPEN is the only
+  // statement server.statement_us does not time.
+  Clock::time_point start = Clock::now();
   Result<mql::Statement> parsed = mql::ParseStatement(text);
   if (parsed.ok() && std::holds_alternative<mql::OpenStatement>(*parsed)) {
     statements_error_->Increment();
@@ -436,9 +438,9 @@ Message MadServer::RunStatement(const std::shared_ptr<Connection>& conn,
         "the database mad_server was started on (--db)";
     return response;
   }
-
-  Clock::time_point start = Clock::now();
-  Result<mql::QueryResult> result = conn->session->Execute(text);
+  Result<mql::QueryResult> result =
+      parsed.ok() ? conn->session->Execute(std::move(parsed).value())
+                  : Result<mql::QueryResult>(parsed.status());
   statement_us_->Observe(ElapsedUs(start));
 
   if (!result.ok()) {

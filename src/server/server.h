@@ -42,7 +42,7 @@ struct ServerOptions {
   /// Close a connection after this long without a complete frame from the
   /// client. 0 disables the idle timeout.
   uint64_t idle_timeout_ms = 0;
-  /// Template for the per-connection MQL sessions (parallelism, sync, ...).
+  /// Template for the per-connection MQL sessions (sync, trace, ...).
   mql::SessionOptions session_options;
 };
 

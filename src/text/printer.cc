@@ -198,9 +198,8 @@ std::string FormatDerivationStats(const DerivationStats& stats) {
       "derived " + std::to_string(derived) + " molecule" +
       (derived == 1 ? "" : "s") + ": " +
       std::to_string(stats.atoms_visited) + " atoms visited, " +
-      std::to_string(stats.links_scanned) + " links scanned, " +
-      std::to_string(stats.threads_used) +
-      (stats.threads_used == 1 ? " thread, " : " threads, ") + wall + " ms";
+      std::to_string(stats.links_scanned) + " links scanned, " + wall +
+      " ms";
   if (stats.molecules_rejected > 0) {
     out += ", " + std::to_string(stats.molecules_rejected) +
            " rejected by pushed filters";

@@ -52,7 +52,7 @@ std::string FormatRecursiveMolecule(const Database& db,
 std::string FormatConceptComparison();
 
 /// One line of derivation-run counters, e.g.
-/// "derived 5 molecules: 23 atoms visited, 41 links scanned, 4 threads, 0.18 ms".
+/// "derived 5 molecules: 23 atoms visited, 41 links scanned, 0.18 ms".
 std::string FormatDerivationStats(const DerivationStats& stats);
 
 /// One line of durability counters, e.g.

@@ -18,7 +18,7 @@ namespace mad {
 ///
 /// Design goals, in order:
 ///   1. the *update* path is lock-free (a relaxed atomic add) so hot loops
-///      and ThreadPool workers can bump counters without contention;
+///      and concurrent sessions can bump counters without contention;
 ///   2. instrument addresses are stable for the lifetime of the process, so
 ///      call sites may cache `static Counter& c = Registry::Global()...`
 ///      and skip the name lookup entirely after the first call;
@@ -49,7 +49,7 @@ class Counter {
   std::atomic<uint64_t> value_{0};
 };
 
-/// Last-written level (open databases, configured parallelism, ...).
+/// Last-written level (open databases, open connections, ...).
 class Gauge {
  public:
   void Set(int64_t v) { value_.store(v, std::memory_order_relaxed); }

@@ -79,9 +79,7 @@ TraceScope::~TraceScope() {
 
 QueryTrace* CurrentTrace() { return g_current_trace; }
 
-ScopedSpan::ScopedSpan(const char* name, std::string note)
-    : trace_(g_current_trace) {
-  if (trace_ == nullptr) return;
+void ScopedSpan::Begin(const char* name, std::string note) {
   id_ = trace_->BeginSpan(name, std::move(note), g_current_parent);
   saved_parent_ = g_current_parent;
   g_current_parent = id_;

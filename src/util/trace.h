@@ -4,6 +4,8 @@
 #include <chrono>
 #include <cstdint>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "util/sync.h"
@@ -18,11 +20,12 @@ namespace mad {
 ///
 /// The ambient trace is thread-local, so deep call sites (the WAL under a
 /// session statement, an algebra operator under a molecule op) need no API
-/// changes to participate: they see the installing thread's trace. Worker
-/// threads spawned by ThreadPool do NOT inherit it — per-root derivation work
-/// deliberately stays span-free (aggregated into DerivationStats and the
-/// metrics registry instead) to keep hot-loop overhead near zero. When no
-/// trace is installed, ScopedSpan construction is a null-pointer check.
+/// changes to participate: they see the installing thread's trace. Per-root
+/// derivation work deliberately stays span-free (aggregated into
+/// DerivationStats and the metrics registry instead) to keep hot-loop
+/// overhead near zero. When no trace is installed, ScopedSpan construction
+/// is a null-pointer check: a note the caller computes is passed as a
+/// callable, which then never runs.
 
 /// One completed operator span. `parent` indexes into QueryTrace::spans()
 /// (kNoParent for roots); children always appear after their parent.
@@ -118,7 +121,20 @@ QueryTrace* CurrentTrace();
 /// installed. Nested ScopedSpans on the same thread form the tree.
 class ScopedSpan {
  public:
-  explicit ScopedSpan(const char* name, std::string note = std::string());
+  explicit ScopedSpan(const char* name) : ScopedSpan(name, "") {}
+  /// `note` is either text (a literal or a string the caller already holds,
+  /// taken by reference) or a callable returning std::string. Either is
+  /// read only when a trace is installed, so a note that has to be
+  /// formatted costs nothing untraced when it is passed as a callable.
+  template <typename Note>
+  ScopedSpan(const char* name, Note&& note) : trace_(CurrentTrace()) {
+    if (trace_ == nullptr) return;
+    if constexpr (std::is_invocable_r_v<std::string, Note&>) {
+      Begin(name, note());
+    } else {
+      Begin(name, std::string(std::forward<Note>(note)));
+    }
+  }
   ~ScopedSpan();
 
   ScopedSpan(const ScopedSpan&) = delete;
@@ -131,6 +147,8 @@ class ScopedSpan {
   bool active() const { return trace_ != nullptr; }
 
  private:
+  void Begin(const char* name, std::string note);
+
   QueryTrace* trace_;
   int32_t id_ = -1;
   int32_t saved_parent_ = TraceSpan::kNoParent;

@@ -1,13 +1,11 @@
-// Determinism of the parallel derivation engine: for every thread count the
-// output must be bit-for-bit the same — same molecules, same atom order
-// within each node group, same link order. The fan-out writes into
-// pre-sized per-root slots, so thread scheduling can never reorder results;
-// these tests pin that guarantee against the Fig. 2 geo descriptions and a
-// shared-subobject BOM DAG.
+// Determinism of the derivation engine against the Fig. 2 geo descriptions
+// and a shared-subobject BOM DAG: every derived molecule satisfies mv_graph,
+// and molecules come out in root order.
 //
 // The engine grows its snapshot from the roots each call derives, so the
 // differential tests below also pin that a root subset, a reused engine and
-// an epoch-pinned view all derive exactly what a whole-occurrence run does.
+// an epoch-pinned view all derive exactly what a whole-occurrence run does:
+// same molecules, same atom order within each node group, same link order.
 
 #include <gtest/gtest.h>
 
@@ -36,27 +34,13 @@ bool ExactlyEqual(const Molecule& a, const Molecule& b) {
   return a.links() == b.links();
 }
 
-void ExpectIdenticalRuns(const Database& db, const MoleculeDescription& md) {
-  DerivationStats serial_stats;
-  auto serial =
-      DeriveMolecules(db, md, DerivationOptions{1}, &serial_stats);
-  ASSERT_TRUE(serial.ok()) << serial.status();
-
-  for (unsigned parallelism : {2u, 8u}) {
-    DerivationStats stats;
-    auto parallel =
-        DeriveMolecules(db, md, DerivationOptions{parallelism}, &stats);
-    ASSERT_TRUE(parallel.ok()) << parallel.status();
-    ASSERT_EQ(parallel->size(), serial->size());
-    for (size_t i = 0; i < serial->size(); ++i) {
-      EXPECT_TRUE(ExactlyEqual((*serial)[i], (*parallel)[i]))
-          << "molecule " << i << " differs at parallelism " << parallelism;
-      EXPECT_TRUE(ValidateMolecule(db, md, (*parallel)[i]).ok());
-    }
-    // Every counter except wall_ms is thread-count independent.
-    EXPECT_EQ(stats.roots, serial_stats.roots);
-    EXPECT_EQ(stats.atoms_visited, serial_stats.atoms_visited);
-    EXPECT_EQ(stats.links_scanned, serial_stats.links_scanned);
+void ExpectValidMolecules(const Database& db, const MoleculeDescription& md) {
+  auto molecules = DeriveMolecules(db, md);
+  ASSERT_TRUE(molecules.ok()) << molecules.status();
+  ASSERT_FALSE(molecules->empty());
+  for (size_t i = 0; i < molecules->size(); ++i) {
+    EXPECT_TRUE(ValidateMolecule(db, md, (*molecules)[i]).ok())
+        << "molecule " << i;
   }
 }
 
@@ -106,26 +90,26 @@ MoleculeDescription SharedBomDag(Database& db) {
   return *std::move(md);
 }
 
-TEST(DerivationParallelTest, GeoChainIsThreadCountInvariant) {
+TEST(DerivationTest, GeoChainMoleculesAreValid) {
   Database db("GEO_DB");
   auto ids = workload::BuildFigure4GeoDatabase(db);
   ASSERT_TRUE(ids.ok()) << ids.status();
-  ExpectIdenticalRuns(db, GeoChain(db));
+  ExpectValidMolecules(db, GeoChain(db));
 }
 
-TEST(DerivationParallelTest, GeoBranchingIsThreadCountInvariant) {
+TEST(DerivationTest, GeoBranchingMoleculesAreValid) {
   Database db("GEO_DB");
   auto ids = workload::BuildFigure4GeoDatabase(db);
   ASSERT_TRUE(ids.ok()) << ids.status();
-  ExpectIdenticalRuns(db, GeoBranching(db));
+  ExpectValidMolecules(db, GeoBranching(db));
 }
 
-TEST(DerivationParallelTest, SharedBomDagIsThreadCountInvariant) {
+TEST(DerivationTest, SharedBomDagMoleculesAreValid) {
   Database db("BOM_DB");
-  ExpectIdenticalRuns(db, SharedBomDag(db));
+  ExpectValidMolecules(db, SharedBomDag(db));
 }
 
-TEST(DerivationParallelTest, ForRootsKeepsCallerOrderAtAnyParallelism) {
+TEST(DerivationTest, ForRootsKeepsCallerOrder) {
   Database db("BOM_DB");
   workload::BomScale scale;
   scale.roots = 8;
@@ -137,23 +121,17 @@ TEST(DerivationParallelTest, ForRootsKeepsCallerOrderAtAnyParallelism) {
       {{"composition", "part", "sub", false}});
   ASSERT_TRUE(md.ok()) << md.status();
 
-  // Request roots in reverse order: slots must follow the request order.
+  // Request roots in reverse order: molecules must follow the request order.
   std::vector<AtomId> roots(stats->roots.rbegin(), stats->roots.rend());
-  auto serial = DeriveMoleculesForRoots(db, *md, roots, DerivationOptions{1});
-  ASSERT_TRUE(serial.ok()) << serial.status();
-  auto parallel = DeriveMoleculesForRoots(db, *md, roots, DerivationOptions{8});
-  ASSERT_TRUE(parallel.ok()) << parallel.status();
-  ASSERT_EQ(serial->size(), roots.size());
-  ASSERT_EQ(parallel->size(), roots.size());
+  auto molecules = DeriveMoleculesForRoots(db, *md, roots);
+  ASSERT_TRUE(molecules.ok()) << molecules.status();
+  ASSERT_EQ(molecules->size(), roots.size());
   for (size_t i = 0; i < roots.size(); ++i) {
-    EXPECT_EQ((*serial)[i].root(), roots[i]);
-    EXPECT_TRUE(ExactlyEqual((*serial)[i], (*parallel)[i])) << "slot " << i;
+    EXPECT_EQ((*molecules)[i].root(), roots[i]) << "slot " << i;
   }
 }
 
 // ---- Root-subset and snapshot-reuse differentials -------------------------
-
-constexpr unsigned kParallelisms[] = {1u, 2u, 8u};
 
 /// Ids of the root atom type in occurrence order.
 std::vector<AtomId> RootIds(const Database& db, const MoleculeDescription& md) {
@@ -195,66 +173,60 @@ void ExpectSameCounters(const DerivationStats& expected,
 }
 
 /// DeriveForRoots(subset) equals DeriveAll filtered to the subset, with the
-/// counters of the per-root derivations it is made of — on a fresh engine,
-/// on one whose snapshot DeriveAll already completed, and at every
-/// parallelism.
+/// counters of the per-root derivations it is made of — on a fresh engine
+/// and on one whose snapshot DeriveAll already completed.
 void ExpectSubsetMatchesAll(const Database& db, const MoleculeDescription& md) {
   const std::vector<AtomId> roots = RootIds(db, md);
   ASSERT_GT(roots.size(), 2u);
   const std::vector<AtomId> subset = SparseSubset(roots);
-  for (unsigned parallelism : kParallelisms) {
-    const std::string at = " at parallelism " + std::to_string(parallelism);
-    const DerivationOptions options{parallelism};
+  auto full_engine = DerivationEngine::Create(db, md);
+  ASSERT_TRUE(full_engine.ok()) << full_engine.status();
+  DerivationStats all_stats;
+  auto all = full_engine->DeriveAll(&all_stats);
+  ASSERT_TRUE(all.ok()) << all.status();
+  ASSERT_EQ(all->size(), roots.size());
+  std::map<AtomId, size_t> slot_of;
+  for (size_t i = 0; i < all->size(); ++i) slot_of[(*all)[i].root()] = i;
+  std::vector<Molecule> filtered;
+  for (AtomId root : subset) filtered.push_back((*all)[slot_of.at(root)]);
 
-    auto full_engine = DerivationEngine::Create(db, md, options);
-    ASSERT_TRUE(full_engine.ok()) << full_engine.status();
-    DerivationStats all_stats;
-    auto all = full_engine->DeriveAll(&all_stats);
-    ASSERT_TRUE(all.ok()) << all.status();
-    ASSERT_EQ(all->size(), roots.size());
-    std::map<AtomId, size_t> slot_of;
-    for (size_t i = 0; i < all->size(); ++i) slot_of[(*all)[i].root()] = i;
-    std::vector<Molecule> filtered;
-    for (AtomId root : subset) filtered.push_back((*all)[slot_of.at(root)]);
-
-    // The counters of a subset are the sums of its per-root derivations.
-    DerivationStats per_root;
-    for (AtomId root : subset) {
-      auto single = DerivationEngine::Create(db, md, options);
-      ASSERT_TRUE(single.ok()) << single.status();
-      DerivationStats stats;
-      auto m = single->DeriveFor(root, &stats);
-      ASSERT_TRUE(m.ok()) << m.status();
-      EXPECT_TRUE(ExactlyEqual(*m, (*all)[slot_of.at(root)]))
-          << "DeriveFor #" << root.value << at;
-      per_root.roots += stats.roots;
-      per_root.atoms_visited += stats.atoms_visited;
-      per_root.links_scanned += stats.links_scanned;
-    }
-
-    auto fresh = DerivationEngine::Create(db, md, options);
-    ASSERT_TRUE(fresh.ok()) << fresh.status();
-    DerivationStats fresh_stats;
-    auto from_fresh = fresh->DeriveForRoots(subset, &fresh_stats);
-    ASSERT_TRUE(from_fresh.ok()) << from_fresh.status();
-    ExpectSameMolecules(filtered, *from_fresh, "fresh engine" + at);
-    ExpectSameCounters(per_root, fresh_stats, "fresh engine" + at);
-
-    DerivationStats reused_stats;
-    auto from_reused = full_engine->DeriveForRoots(subset, &reused_stats);
-    ASSERT_TRUE(from_reused.ok()) << from_reused.status();
-    ExpectSameMolecules(filtered, *from_reused, "reused engine" + at);
-    ExpectSameCounters(per_root, reused_stats, "reused engine" + at);
-
-    // Every root in occurrence order is DeriveAll, counters included.
-    auto everything = DerivationEngine::Create(db, md, options);
-    ASSERT_TRUE(everything.ok()) << everything.status();
-    DerivationStats every_stats;
-    auto listed = everything->DeriveForRoots(roots, &every_stats);
-    ASSERT_TRUE(listed.ok()) << listed.status();
-    ExpectSameMolecules(*all, *listed, "all roots listed" + at);
-    ExpectSameCounters(all_stats, every_stats, "all roots listed" + at);
+  // The counters of a subset are the sums of its per-root derivations.
+  DerivationStats per_root;
+  for (AtomId root : subset) {
+    auto single = DerivationEngine::Create(db, md);
+    ASSERT_TRUE(single.ok()) << single.status();
+    DerivationStats stats;
+    auto m = single->DeriveFor(root, &stats);
+    ASSERT_TRUE(m.ok()) << m.status();
+    EXPECT_TRUE(ExactlyEqual(*m, (*all)[slot_of.at(root)]))
+        << "DeriveFor #" << root.value;
+    per_root.roots += stats.roots;
+    per_root.atoms_visited += stats.atoms_visited;
+    per_root.links_scanned += stats.links_scanned;
   }
+
+  auto fresh = DerivationEngine::Create(db, md);
+  ASSERT_TRUE(fresh.ok()) << fresh.status();
+  DerivationStats fresh_stats;
+  auto from_fresh = fresh->DeriveForRoots(subset, &fresh_stats);
+  ASSERT_TRUE(from_fresh.ok()) << from_fresh.status();
+  ExpectSameMolecules(filtered, *from_fresh, "fresh engine");
+  ExpectSameCounters(per_root, fresh_stats, "fresh engine");
+
+  DerivationStats reused_stats;
+  auto from_reused = full_engine->DeriveForRoots(subset, &reused_stats);
+  ASSERT_TRUE(from_reused.ok()) << from_reused.status();
+  ExpectSameMolecules(filtered, *from_reused, "reused engine");
+  ExpectSameCounters(per_root, reused_stats, "reused engine");
+
+  // Every root in occurrence order is DeriveAll, counters included.
+  auto everything = DerivationEngine::Create(db, md);
+  ASSERT_TRUE(everything.ok()) << everything.status();
+  DerivationStats every_stats;
+  auto listed = everything->DeriveForRoots(roots, &every_stats);
+  ASSERT_TRUE(listed.ok()) << listed.status();
+  ExpectSameMolecules(*all, *listed, "all roots listed");
+  ExpectSameCounters(all_stats, every_stats, "all roots listed");
 }
 
 TEST(DerivationSubsetTest, GeoChainSubsetMatchesDeriveAll) {
@@ -286,31 +258,26 @@ TEST(DerivationSubsetTest, OneEngineServesOverlappingCallsThenDeriveAll) {
   const std::vector<AtomId> first(roots.begin(), roots.begin() + 3);
   const std::vector<AtomId> second(roots.begin() + 1, roots.begin() + 5);
 
-  for (unsigned parallelism : kParallelisms) {
-    const std::string at = " at parallelism " + std::to_string(parallelism);
-    const DerivationOptions options{parallelism};
-    auto shared = DerivationEngine::Create(db, md, options);
-    ASSERT_TRUE(shared.ok()) << shared.status();
-    for (const auto* request : {&first, &second}) {
-      DerivationStats stats;
-      auto got = shared->DeriveForRoots(*request, &stats);
-      ASSERT_TRUE(got.ok()) << got.status();
-      DerivationStats want_stats;
-      auto want =
-          DeriveMoleculesForRoots(db, md, *request, options, &want_stats);
-      ASSERT_TRUE(want.ok()) << want.status();
-      ExpectSameMolecules(*want, *got, "overlapping call" + at);
-      ExpectSameCounters(want_stats, stats, "overlapping call" + at);
-    }
+  auto shared = DerivationEngine::Create(db, md);
+  ASSERT_TRUE(shared.ok()) << shared.status();
+  for (const auto* request : {&first, &second}) {
     DerivationStats stats;
-    auto got = shared->DeriveAll(&stats);
+    auto got = shared->DeriveForRoots(*request, &stats);
     ASSERT_TRUE(got.ok()) << got.status();
     DerivationStats want_stats;
-    auto want = DeriveMolecules(db, md, options, &want_stats);
+    auto want = DeriveMoleculesForRoots(db, md, *request, {}, &want_stats);
     ASSERT_TRUE(want.ok()) << want.status();
-    ExpectSameMolecules(*want, *got, "DeriveAll after subsets" + at);
-    ExpectSameCounters(want_stats, stats, "DeriveAll after subsets" + at);
+    ExpectSameMolecules(*want, *got, "overlapping call");
+    ExpectSameCounters(want_stats, stats, "overlapping call");
   }
+  DerivationStats stats;
+  auto got = shared->DeriveAll(&stats);
+  ASSERT_TRUE(got.ok()) << got.status();
+  DerivationStats want_stats;
+  auto want = DeriveMolecules(db, md, {}, &want_stats);
+  ASSERT_TRUE(want.ok()) << want.status();
+  ExpectSameMolecules(*want, *got, "DeriveAll after subsets");
+  ExpectSameCounters(want_stats, stats, "DeriveAll after subsets");
 }
 
 /// At a reader's pinned view, another transaction's writes — a new partner
@@ -327,12 +294,11 @@ TEST(DerivationSubsetTest, PinnedViewHidesAnotherTransactionsWrites) {
   const std::vector<AtomId> subset = SparseSubset(roots);
 
   DerivationStats want_all_stats;
-  auto want_all =
-      DeriveMolecules(db, md, DerivationOptions{1}, &want_all_stats);
+  auto want_all = DeriveMolecules(db, md, {}, &want_all_stats);
   ASSERT_TRUE(want_all.ok()) << want_all.status();
   DerivationStats want_subset_stats;
-  auto want_subset = DeriveMoleculesForRoots(
-      db, md, subset, DerivationOptions{1}, &want_subset_stats);
+  auto want_subset =
+      DeriveMoleculesForRoots(db, md, subset, {}, &want_subset_stats);
   ASSERT_TRUE(want_subset.ok()) << want_subset.status();
 
   EpochPin pin;
@@ -374,26 +340,22 @@ TEST(DerivationSubsetTest, PinnedViewHidesAnotherTransactionsWrites) {
 
   auto check = [&](const std::string& phase) {
     ReaderLock lock(db.mutex());
-    for (unsigned parallelism : kParallelisms) {
-      const std::string at =
-          phase + " at parallelism " + std::to_string(parallelism);
-      DerivationOptions options{parallelism};
-      options.view = view;
-      auto engine = DerivationEngine::Create(db, md, options);
-      ASSERT_TRUE(engine.ok()) << engine.status();
-      // The root inserted after the pin is not a root at the view.
-      auto pending_root = engine->DeriveForRoots({roots[0], *new_state});
-      EXPECT_EQ(pending_root.status().code(), StatusCode::kNotFound) << at;
-      DerivationStats stats;
-      auto got_subset = engine->DeriveForRoots(subset, &stats);
-      ASSERT_TRUE(got_subset.ok()) << got_subset.status();
-      ExpectSameMolecules(*want_subset, *got_subset, "subset " + at);
-      ExpectSameCounters(want_subset_stats, stats, "subset " + at);
-      auto got_all = engine->DeriveAll(&stats);
-      ASSERT_TRUE(got_all.ok()) << got_all.status();
-      ExpectSameMolecules(*want_all, *got_all, "all " + at);
-      ExpectSameCounters(want_all_stats, stats, "all " + at);
-    }
+    DerivationOptions options;
+    options.view = view;
+    auto engine = DerivationEngine::Create(db, md, options);
+    ASSERT_TRUE(engine.ok()) << engine.status();
+    // The root inserted after the pin is not a root at the view.
+    auto pending_root = engine->DeriveForRoots({roots[0], *new_state});
+    EXPECT_EQ(pending_root.status().code(), StatusCode::kNotFound) << phase;
+    DerivationStats stats;
+    auto got_subset = engine->DeriveForRoots(subset, &stats);
+    ASSERT_TRUE(got_subset.ok()) << got_subset.status();
+    ExpectSameMolecules(*want_subset, *got_subset, "subset " + phase);
+    ExpectSameCounters(want_subset_stats, stats, "subset " + phase);
+    auto got_all = engine->DeriveAll(&stats);
+    ASSERT_TRUE(got_all.ok()) << got_all.status();
+    ExpectSameMolecules(*want_all, *got_all, "all " + phase);
+    ExpectSameCounters(want_all_stats, stats, "all " + phase);
   };
   check("pending");
   ASSERT_TRUE(writer->Commit().ok());
@@ -410,38 +372,32 @@ TEST(DerivationSubsetTest, MixedRootListNamesEveryBadIdAndEngineRecovers) {
   const AtomId wrong_type = ids->areas.begin()->second;  // not a state
   const AtomId missing{987654321};
 
-  for (unsigned parallelism : kParallelisms) {
-    const std::string at = " at parallelism " + std::to_string(parallelism);
-    const DerivationOptions options{parallelism};
-    auto engine = DerivationEngine::Create(db, md, options);
-    ASSERT_TRUE(engine.ok()) << engine.status();
-    auto bad =
-        engine->DeriveForRoots({roots[0], wrong_type, roots[1], missing});
-    ASSERT_EQ(bad.status().code(), StatusCode::kNotFound) << at;
-    std::ostringstream want_message;  // AtomId prints as "#<id>"
-    want_message << "atoms " << wrong_type << ", " << missing
-                 << " are not in root atom type 'state'";
-    EXPECT_EQ(bad.status().message(), want_message.str()) << at;
-    EXPECT_EQ(engine->DeriveFor(missing).status().code(),
-              StatusCode::kNotFound);
+  auto engine = DerivationEngine::Create(db, md);
+  ASSERT_TRUE(engine.ok()) << engine.status();
+  auto bad = engine->DeriveForRoots({roots[0], wrong_type, roots[1], missing});
+  ASSERT_EQ(bad.status().code(), StatusCode::kNotFound);
+  std::ostringstream want_message;  // AtomId prints as "#<id>"
+  want_message << "atoms " << wrong_type << ", " << missing
+               << " are not in root atom type 'state'";
+  EXPECT_EQ(bad.status().message(), want_message.str());
+  EXPECT_EQ(engine->DeriveFor(missing).status().code(), StatusCode::kNotFound);
 
-    // The failed calls leave the engine able to derive exactly.
-    const std::vector<AtomId> good = {roots[1], roots[0]};
-    DerivationStats stats;
-    auto got = engine->DeriveForRoots(good, &stats);
-    ASSERT_TRUE(got.ok()) << got.status();
-    DerivationStats want_stats;
-    auto want = DeriveMoleculesForRoots(db, md, good, options, &want_stats);
-    ASSERT_TRUE(want.ok()) << want.status();
-    ExpectSameMolecules(*want, *got, "after bad roots" + at);
-    ExpectSameCounters(want_stats, stats, "after bad roots" + at);
-    auto all = engine->DeriveAll(&stats);
-    ASSERT_TRUE(all.ok()) << all.status();
-    auto want_all = DeriveMolecules(db, md, options, &want_stats);
-    ASSERT_TRUE(want_all.ok()) << want_all.status();
-    ExpectSameMolecules(*want_all, *all, "DeriveAll after bad roots" + at);
-    ExpectSameCounters(want_stats, stats, "DeriveAll after bad roots" + at);
-  }
+  // The failed calls leave the engine able to derive exactly.
+  const std::vector<AtomId> good = {roots[1], roots[0]};
+  DerivationStats stats;
+  auto got = engine->DeriveForRoots(good, &stats);
+  ASSERT_TRUE(got.ok()) << got.status();
+  DerivationStats want_stats;
+  auto want = DeriveMoleculesForRoots(db, md, good, {}, &want_stats);
+  ASSERT_TRUE(want.ok()) << want.status();
+  ExpectSameMolecules(*want, *got, "after bad roots");
+  ExpectSameCounters(want_stats, stats, "after bad roots");
+  auto all = engine->DeriveAll(&stats);
+  ASSERT_TRUE(all.ok()) << all.status();
+  auto want_all = DeriveMolecules(db, md, {}, &want_stats);
+  ASSERT_TRUE(want_all.ok()) << want_all.status();
+  ExpectSameMolecules(*want_all, *all, "DeriveAll after bad roots");
+  ExpectSameCounters(want_stats, stats, "DeriveAll after bad roots");
 }
 
 }  // namespace

@@ -135,7 +135,7 @@ TEST(MetricsTest, ScopeChurnDoesNotGrowTheRegistry) {
                         "churn.session." + std::to_string(i) + ".");
     scope.GetCounter("statements").Increment();
     scope.GetHistogram("latency_us").Observe(7);
-    scope.GetGauge("parallelism").Set(1);
+    scope.GetGauge("inflight").Set(1);
   }
   EXPECT_EQ(registry.instrument_count(), baseline);
 }
@@ -177,7 +177,7 @@ TEST(MetricsTest, SessionChurnReleasesItsLabeledInstruments) {
 }
 
 TEST(MetricsTest, ConcurrentUpdatesAreExact) {
-  // Counters and histograms are written from ThreadPool workers; hammer one
+  // Counters and histograms are written from concurrent sessions; hammer one
   // registry from several threads and require exact totals. Run under
   // -fsanitize=thread this also proves the update path is race-free.
   Registry registry;

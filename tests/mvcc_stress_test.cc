@@ -1,11 +1,10 @@
 // Randomized reader/writer stress over the MVCC layer, designed to run
 // clean under ThreadSanitizer (the CI `tsan` job runs it). Two writer
 // threads commit transactions through the group-commit WAL while four
-// reader threads pin epochs and derive molecules (flat and recursive BOM)
-// at parallelism 1, 4, and 8. Determinism contract (DESIGN.md §11): every
-// derivation at a pinned epoch E is bit-identical across parallelism
-// levels, and bit-identical to a fresh single-threaded derivation over a
-// scratch database materialized from the snapshot at E.
+// reader threads pin epochs and derive molecules (flat and recursive BOM).
+// Determinism contract (DESIGN.md §11): every derivation at a pinned epoch
+// E is bit-identical to a fresh derivation over a scratch database
+// materialized from the snapshot at E.
 
 #include <gtest/gtest.h>
 
@@ -32,7 +31,6 @@ constexpr int kWriters = 2;
 constexpr int kTxnsPerWriter = 40;
 constexpr int kReaders = 4;
 constexpr int kReadsPerReader = 12;
-constexpr unsigned kParallelisms[] = {1, 4, 8};
 
 Schema PartSchema() {
   Schema s;
@@ -229,27 +227,16 @@ TEST_F(MvccStressTest, ConcurrentWritersAndPinnedReadersStayDeterministic) {
       EpochPin pin = db.PinEpoch();
       const ReadView view = pin.view();
 
-      // Flat derivation: bit-identical across parallelism levels.
-      std::string baseline;
-      for (unsigned parallelism : kParallelisms) {
-        DerivationOptions options(parallelism);
-        options.view = view;
-        auto molecules = DeriveMolecules(db, *md_, options);
-        if (!molecules.ok()) {
-          ADD_FAILURE() << molecules.status();
-          failed.store(true);
-          return;
-        }
-        std::string digest = Digest(db, *md_, *molecules, &view);
-        if (baseline.empty()) {
-          baseline = std::move(digest);
-        } else if (digest != baseline) {
-          ADD_FAILURE() << "parallelism " << parallelism
-                        << " diverged at epoch " << view.epoch;
-          failed.store(true);
-          return;
-        }
+      // Flat derivation at the pin.
+      DerivationOptions options;
+      options.view = view;
+      auto molecules = DeriveMolecules(db, *md_, options);
+      if (!molecules.ok()) {
+        ADD_FAILURE() << molecules.status();
+        failed.store(true);
+        return;
       }
+      const std::string pinned_digest = Digest(db, *md_, *molecules, &view);
 
       // Recursive BOM at the same pin: stable across repeated derivation.
       RecursiveDescription rd;
@@ -266,7 +253,7 @@ TEST_F(MvccStressTest, ConcurrentWritersAndPinnedReadersStayDeterministic) {
       }
 
       // Every few reads: materialize the snapshot into a scratch database
-      // and compare a fresh single-threaded derivation byte for byte.
+      // and compare a fresh derivation byte for byte.
       if (i % 4 == (r % 4)) {
         Database scratch("SCRATCH");
         ASSERT_TRUE(scratch.DefineAtomType("part", PartSchema()).ok());
@@ -292,14 +279,12 @@ TEST_F(MvccStressTest, ConcurrentWritersAndPinnedReadersStayDeterministic) {
         }
         auto scratch_md = MakeDescription(scratch);
         ASSERT_TRUE(scratch_md.ok());
-        auto serial = DeriveMolecules(scratch, *scratch_md,
-                                      DerivationOptions(1));
-        ASSERT_TRUE(serial.ok());
-        std::string serial_digest =
-            Digest(scratch, *scratch_md, *serial, nullptr);
-        if (serial_digest != baseline) {
+        auto materialized = DeriveMolecules(scratch, *scratch_md);
+        ASSERT_TRUE(materialized.ok());
+        if (Digest(scratch, *scratch_md, *materialized, nullptr) !=
+            pinned_digest) {
           ADD_FAILURE() << "pinned derivation at epoch " << view.epoch
-                        << " differs from materialized serial derivation";
+                        << " differs from materialized derivation";
           failed.store(true);
           return;
         }
@@ -320,7 +305,7 @@ TEST_F(MvccStressTest, ConcurrentWritersAndPinnedReadersStayDeterministic) {
   // The WAL saw every commit: reopening replays to the identical head.
   auto final_md = MakeDescription(db);
   ASSERT_TRUE(final_md.ok());
-  auto final_molecules = DeriveMolecules(db, *final_md, DerivationOptions(1));
+  auto final_molecules = DeriveMolecules(db, *final_md);
   ASSERT_TRUE(final_molecules.ok());
   std::string final_digest = Digest(db, *final_md, *final_molecules, nullptr);
   ASSERT_TRUE(durable_->Flush().ok());
@@ -331,7 +316,7 @@ TEST_F(MvccStressTest, ConcurrentWritersAndPinnedReadersStayDeterministic) {
   Database& db2 = (*again)->database();
   auto md2 = MakeDescription(db2);
   ASSERT_TRUE(md2.ok());
-  auto molecules2 = DeriveMolecules(db2, *md2, DerivationOptions(1));
+  auto molecules2 = DeriveMolecules(db2, *md2);
   ASSERT_TRUE(molecules2.ok());
   EXPECT_EQ(Digest(db2, *md2, *molecules2, nullptr), final_digest);
   EXPECT_TRUE(db2.CheckConsistency().ok());

@@ -1,13 +1,17 @@
 // End-to-end observability: EXPLAIN ANALYZE produces a span tree whose
 // cardinalities match the plain query's result and whose per-operator times
 // nest consistently, SHOW METRICS reports the instruments the query touched,
-// and the trace JSON stays parseable.
+// the trace JSON stays parseable, and a span note is built only under a
+// trace.
 
 #include <gtest/gtest.h>
+
+#include <string>
 
 #include "mql/session.h"
 #include "text/printer.h"
 #include "util/metrics.h"
+#include "util/trace.h"
 #include "workload/geo.h"
 
 namespace mad {
@@ -151,6 +155,30 @@ TEST_F(ObservabilityTest, TraceJsonStaysWellFormed) {
   }
   EXPECT_EQ(depth, 0);
   EXPECT_EQ(quotes % 2, 0u);
+}
+
+TEST(ScopedSpanTest, NoteCallableRunsOnlyUnderATrace) {
+  int calls = 0;
+  auto note = [&] {
+    ++calls;
+    return std::string("depth 0");
+  };
+  {
+    ScopedSpan span("closure-round", note);
+    EXPECT_FALSE(span.active());
+  }
+  EXPECT_EQ(calls, 0);
+
+  QueryTrace trace;
+  {
+    TraceScope scope(&trace);
+    ScopedSpan span("closure-round", note);
+    EXPECT_TRUE(span.active());
+  }
+  EXPECT_EQ(calls, 1);
+  ASSERT_EQ(trace.spans().size(), 1u);
+  EXPECT_EQ(trace.spans()[0].name, "closure-round");
+  EXPECT_EQ(trace.spans()[0].note, "depth 0");
 }
 
 }  // namespace

@@ -176,19 +176,16 @@ std::vector<std::string> Keys(const MoleculeType& mt) {
 /// (RestrictMolecules), then Π (ProjectMolecules) — with no pushdown and no
 /// seeds.
 Result<MoleculeType> AlgebraReference(const Database& db,
-                                      const std::string& query,
-                                      unsigned parallelism) {
+                                      const std::string& query) {
   MAD_ASSIGN_OR_RETURN(Statement stmt, ParseStatement(query));
   const SelectStatement& select = std::get<SelectStatement>(stmt);
   MAD_ASSIGN_OR_RETURN(TranslatedFrom from,
                        TranslateStructure(db, *select.from.structure));
   MAD_ASSIGN_OR_RETURN(
-      MoleculeType mt,
-      DefineMoleculeType(db, "reference", *from.description,
-                         DerivationOptions{parallelism}));
+      MoleculeType mt, DefineMoleculeType(db, "reference", *from.description));
   if (select.where != nullptr) {
-    MAD_ASSIGN_OR_RETURN(mt, RestrictMolecules(db, mt, select.where,
-                                               "reference", parallelism));
+    MAD_ASSIGN_OR_RETURN(
+        mt, RestrictMolecules(db, mt, select.where, "reference"));
   }
   if (!select.select_all) {
     MAD_ASSIGN_OR_RETURN(MoleculeProjectionSpec spec,
@@ -220,25 +217,16 @@ TEST_F(OptimizerTest, PushdownAndBaselineAgree) {
       "WHERE FORALL point (point.x >= 0);",
   };
   // The session's fused plan and the operator-by-operator algebra must
-  // agree bit-for-bit at several parallelism settings, per Theorem 2's
-  // closure argument: Σ commutes with the derivation split because each
-  // pushed conjunct is decided by the same group either way.
+  // agree bit-for-bit, per Theorem 2's closure argument: Σ commutes with the
+  // derivation split because each pushed conjunct is decided by the same
+  // group either way.
   for (const char* query : queries) {
-    auto baseline = AlgebraReference(db_, query, 1);
+    auto baseline = AlgebraReference(db_, query);
     ASSERT_TRUE(baseline.ok()) << query << ": " << baseline.status();
-    for (unsigned parallelism : {1u, 4u, 8u}) {
-      auto reference = AlgebraReference(db_, query, parallelism);
-      ASSERT_TRUE(reference.ok()) << query << ": " << reference.status();
-      EXPECT_EQ(Keys(*reference), Keys(*baseline))
-          << query << " (algebra, parallelism=" << parallelism << ")";
-      SessionOptions options;
-      options.parallelism = parallelism;
-      Session session(&db_, options);
-      auto result = session.Execute(query);
-      ASSERT_TRUE(result.ok()) << query << ": " << result.status();
-      EXPECT_EQ(Keys(*result->molecules), Keys(*baseline))
-          << query << " (session, parallelism=" << parallelism << ")";
-    }
+    Session session(&db_);
+    auto result = session.Execute(query);
+    ASSERT_TRUE(result.ok()) << query << ": " << result.status();
+    EXPECT_EQ(Keys(*result->molecules), Keys(*baseline)) << query;
   }
 }
 
@@ -270,7 +258,7 @@ TEST_F(OptimizerTest, ScanSeedSkippedWhenFirstRootConjunctErrors) {
   auto result = session.Run(std::move(*parsed));
   EXPECT_FALSE(result.ok());
   // And the derive-then-restrict reference reports the identical error.
-  auto expected = AlgebraReference(db_, query, 1);
+  auto expected = AlgebraReference(db_, query);
   EXPECT_FALSE(expected.ok());
   EXPECT_EQ(result.status().code(), expected.status().code());
   EXPECT_EQ(result.status().message(), expected.status().message());

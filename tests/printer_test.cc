@@ -191,7 +191,7 @@ TEST_F(PrinterTest, QueryTraceJsonRoundTrips) {
 TEST_F(PrinterTest, MetricsSnapshotFormattingAndJson) {
   Registry registry;
   registry.GetCounter("c.scans").Add(5);
-  registry.GetGauge("g.parallelism").Set(-2);
+  registry.GetGauge("g.inflight").Set(-2);
   registry.GetHistogram("h.latency").Observe(3);
   MetricsSnapshot snapshot = registry.Snapshot();
 
@@ -207,7 +207,7 @@ TEST_F(PrinterTest, MetricsSnapshotFormattingAndJson) {
   // downstream consumers (bench_compare-style tooling) can rely on it.
   EXPECT_EQ(text::MetricsSnapshotToJson(snapshot),
             "{\"counters\": {\"c.scans\": 5}, "
-            "\"gauges\": {\"g.parallelism\": -2}, "
+            "\"gauges\": {\"g.inflight\": -2}, "
             "\"histograms\": {\"h.latency\": {\"count\": 1, \"sum_us\": 3, "
             "\"max_us\": 3, \"p50_us\": 3, \"p99_us\": 3}}}");
 }

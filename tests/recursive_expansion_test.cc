@@ -1,7 +1,12 @@
+// Closure expansion ([Schö89]'s recursive molecule types with per-member
+// component molecules): the test-support oracle, and the MQL expansion tail
+// held to it.
+
 #include <gtest/gtest.h>
 
 #include "molecule/recursive.h"
 #include "mql/session.h"
+#include "support/expansion_oracle.h"
 #include "workload/bom.h"
 
 namespace mad {
@@ -114,6 +119,40 @@ TEST_F(ExpansionTest, MqlExpansionTail) {
     }
   }
   EXPECT_TRUE(found_bolt);
+}
+
+TEST_F(ExpansionTest, MqlExpansionMatchesOracleForEveryRoot) {
+  mql::Session session(&db_);
+  auto result = session.Execute(
+      "SELECT ALL FROM part-[composition*]-[supplies~]-supplier;");
+  ASSERT_TRUE(result.ok()) << result.status();
+  ASSERT_TRUE(result->expansion_description.has_value());
+  EXPECT_EQ(*result->expansion_description, PartWithSuppliers());
+  auto oracle =
+      DeriveExpandedRecursiveMolecules(db_, Explosion(), PartWithSuppliers());
+  ASSERT_TRUE(oracle.ok()) << oracle.status();
+  ASSERT_EQ(oracle->size(), 5u);  // one per part
+  ASSERT_EQ(result->recursive.size(), oracle->size());
+  ASSERT_EQ(result->recursive_components.size(), oracle->size());
+  for (size_t i = 0; i < oracle->size(); ++i) {
+    const ExpandedRecursiveMolecule& want = (*oracle)[i];
+    const RecursiveMolecule& closure = result->recursive[i];
+    EXPECT_EQ(closure.root(), want.closure.root()) << "closure " << i;
+    EXPECT_EQ(closure.levels(), want.closure.levels()) << "closure " << i;
+    EXPECT_EQ(closure.links(), want.closure.links()) << "closure " << i;
+    const std::vector<Molecule>& components = result->recursive_components[i];
+    ASSERT_EQ(components.size(), want.components.size()) << "closure " << i;
+    for (size_t j = 0; j < components.size(); ++j) {
+      const Molecule& got = components[j];
+      const Molecule& expected = want.components[j];
+      EXPECT_EQ(got.root(), expected.root()) << i << "/" << j;
+      ASSERT_EQ(got.node_count(), expected.node_count()) << i << "/" << j;
+      for (size_t n = 0; n < got.node_count(); ++n) {
+        EXPECT_EQ(got.AtomsOf(n), expected.AtomsOf(n)) << i << "/" << j;
+      }
+      EXPECT_EQ(got.links(), expected.links()) << i << "/" << j;
+    }
+  }
 }
 
 TEST_F(ExpansionTest, MqlExplainShowsExpansion) {

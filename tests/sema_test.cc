@@ -126,10 +126,14 @@ TEST_F(SemaTest, Mql0105UnknownFromName) {
 TEST_F(SemaTest, Mql0106UnknownSetOption) {
   Diagnostic d = Only("SET TRACE2 1;", "MQL0106");
   EXPECT_EQ(d.message,
-            "unknown session option 'TRACE2'; available: PARALLELISM, "
-            "PIN SNAPSHOT, SYNC, TRACE");
+            "unknown session option 'TRACE2'; available: PIN SNAPSHOT, "
+            "SYNC, TRACE");
   ASSERT_EQ(d.notes.size(), 1u);
   EXPECT_EQ(d.notes[0].message, "did you mean 'TRACE'?");
+  // Statements run on one thread; there is no width to set.
+  EXPECT_EQ(Only("SET PARALLELISM 2;", "MQL0106").message,
+            "unknown session option 'PARALLELISM'; available: PIN SNAPSHOT, "
+            "SYNC, TRACE");
 }
 
 TEST_F(SemaTest, Mql0108AmbiguousAttribute) {
@@ -357,7 +361,6 @@ TEST_F(SemaTest, Mql0405InvalidOptionValue) {
   Diagnostic d = Only("SET SYNC 2;", "MQL0405");
   EXPECT_EQ(d.message, "SYNC must be ON/1 or OFF/0");
   EXPECT_TRUE(Analyze("SET SYNC ON;").empty());
-  EXPECT_TRUE(Analyze("SET PARALLELISM 0;").empty());
 }
 
 TEST_F(SemaTest, Mql0406QualifierTypeMismatch) {
@@ -415,7 +418,7 @@ TEST_F(SemaTest, CleanStatementsProduceNoDiagnostics) {
       "UPDATE state SET hectare = hectare + 1 WHERE name = 'bavaria';",
       "DELETE FROM state WHERE hectare < 0;",
       "CREATE ATOM TYPE fresh (a STRING);",
-      "SET PARALLELISM 4;",
+      "SET PIN SNAPSHOT ON;",
   };
   for (const char* text : clean) {
     EXPECT_TRUE(Analyze(text).empty()) << text;
@@ -426,8 +429,7 @@ TEST_F(SemaTest, CleanStatementsProduceNoDiagnostics) {
 
 TEST_F(SemaTest, KnownSessionOptionsArePinned) {
   EXPECT_EQ(KnownSessionOptions(),
-            (std::vector<std::string>{"PARALLELISM", "PIN SNAPSHOT", "SYNC",
-                                      "TRACE"}));
+            (std::vector<std::string>{"PIN SNAPSHOT", "SYNC", "TRACE"}));
 }
 
 TEST(DiagTest, CodesAndSeveritiesAreStable) {

@@ -24,6 +24,7 @@
 #include "server/result_render.h"
 #include "server/server.h"
 #include "storage/database.h"
+#include "util/metrics.h"
 #include "workload/geo.h"
 
 namespace mad {
@@ -331,10 +332,38 @@ TEST_F(ServerTest, OpenIsRejectedOverTheWire) {
   StartServer();
   Client client;
   ASSERT_TRUE(client.Connect("127.0.0.1", server_->port()).ok());
+  Histogram& timed = Registry::Global().GetHistogram("server.statement_us");
+  const uint64_t timed_before = timed.count();
   auto reply = client.Query("OPEN 'somewhere';");
   ASSERT_TRUE(reply.ok()) << reply.status();
   ASSERT_EQ(reply->type, MessageType::kError);
-  EXPECT_NE(reply->text.find("OPEN"), std::string::npos);
+  EXPECT_EQ(reply->code, static_cast<uint32_t>(StatusCode::kUnsupported));
+  EXPECT_EQ(reply->text,
+            "OPEN is not available over the wire: every server session "
+            "shares the database mad_server was started on (--db)");
+  // OPEN is refused before it runs, so the statement clock skips it.
+  EXPECT_EQ(timed.count(), timed_before);
+  EXPECT_TRUE(client.Close().ok());
+}
+
+TEST_F(ServerTest, SyntaxErrorMatchesALocalSession) {
+  StartServer();
+  const std::string bad = "SELECT ALL FROM;";
+  mql::Session local(&db_);
+  auto expected = local.Execute(bad);
+  ASSERT_FALSE(expected.ok());
+
+  Client client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server_->port()).ok());
+  Histogram& timed = Registry::Global().GetHistogram("server.statement_us");
+  const uint64_t timed_before = timed.count();
+  auto reply = client.Query(bad);
+  ASSERT_TRUE(reply.ok()) << reply.status();
+  ASSERT_EQ(reply->type, MessageType::kError);
+  EXPECT_EQ(reply->code, static_cast<uint32_t>(expected.status().code()));
+  EXPECT_EQ(reply->text, expected.status().ToString());
+  // The failed parse is timed like any other statement.
+  EXPECT_EQ(timed.count(), timed_before + 1);
   EXPECT_TRUE(client.Close().ok());
 }
 

@@ -7,7 +7,7 @@ The bench_* binaries emit, via their --json flag, one file each of the form
      "machine": {"nproc": 4, "compiler": "GCC 12.2.0", "build_type": "Release"},
      "results": [
       {"op": "BM_CloneDatabase/100", "ns_per_op": 123.4,
-       "iterations": 1000, "parallelism": 1}, ...]}
+       "iterations": 1000}, ...]}
 
 `machine` is optional (older files and bench_perf_server have none).
 
@@ -97,7 +97,8 @@ def check_machines(baseline_path, current_paths):
     if base_nproc and cur_nproc and base_nproc != cur_nproc:
         print(
             f"WARNING: nproc differs: baseline {sorted(base_nproc)}, current "
-            f"{sorted(cur_nproc)}; parallel rows do not compare",
+            f"{sorted(cur_nproc)}; the timings come from different "
+            "hardware",
             file=sys.stderr,
         )
 

@@ -23,7 +23,7 @@ def result_file(benchmark, ops, machine=None):
     payload = {
         "benchmark": benchmark,
         "results": [
-            {"op": op, "ns_per_op": ns, "iterations": 100, "parallelism": 1}
+            {"op": op, "ns_per_op": ns, "iterations": 100}
             for op, ns in ops.items()
         ],
     }
