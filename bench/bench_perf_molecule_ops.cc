@@ -9,12 +9,14 @@
 
 #include <iostream>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "expr/expr.h"
 #include "molecule/derivation.h"
 #include "molecule/operations.h"
 #include "molecule/propagation.h"
+#include "mql/session.h"
 #include "workload/geo.h"
 
 namespace {
@@ -237,6 +239,63 @@ void BM_Propagation(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Propagation)->Arg(20)->Arg(100);
+
+/// The molecule structure the Session rows select, as MQL.
+constexpr char kSelectAll[] = "SELECT ALL FROM state-area-edge-point;";
+
+void BM_SessionRepeatedSelectAll(benchmark::State& state) {
+  // One session repeating an unseeded SELECT, parse to Π: after the first
+  // statement each one derives on the session's kept snapshot instead of
+  // growing it again over every state's reach.
+  auto& f = OpsFixture::Get(state);
+  if (f.db == nullptr) return;
+  mad::mql::Session session(f.db.get());
+  for (auto _ : state) {
+    auto result = session.Execute(kSelectAll);
+    if (!result.ok()) {
+      state.SkipWithError(result.status().ToString().c_str());
+      return;
+    }
+    benchmark::DoNotOptimize(&result);
+  }
+}
+BENCHMARK(BM_SessionRepeatedSelectAll)->Arg(100)->Arg(400);
+
+void BM_SessionOneRootAfterSelectAll(benchmark::State& state) {
+  // A one-root SELECT, seeded from the index on state.name, on a session
+  // holding a kept snapshot of every state's molecule: it costs the root's
+  // reach, not the kept snapshot, so /400 stays close to /100.
+  auto& f = OpsFixture::Get(state);
+  if (f.db == nullptr) return;
+  mad::Status indexed = f.db->CreateIndex("state", "name");
+  if (!indexed.ok() && indexed.code() != mad::StatusCode::kAlreadyExists) {
+    state.SkipWithError(indexed.ToString().c_str());
+    return;
+  }
+  auto states = f.db->GetAtomType("state");
+  if (!states.ok() || (*states)->occurrence().empty()) {
+    state.SkipWithError("no state atoms");
+    return;
+  }
+  const std::string query =
+      "SELECT ALL FROM state-area-edge-point WHERE state.name = " +
+      (*states)->occurrence().atoms().front().values[0].ToString() + ";";
+  mad::mql::Session session(f.db.get());
+  auto all = session.Execute(kSelectAll);
+  if (!all.ok()) {
+    state.SkipWithError(all.status().ToString().c_str());
+    return;
+  }
+  for (auto _ : state) {
+    auto result = session.Execute(query);
+    if (!result.ok() || result->molecules->size() != 1) {
+      state.SkipWithError("the one-root SELECT failed");
+      return;
+    }
+    benchmark::DoNotOptimize(&result);
+  }
+}
+BENCHMARK(BM_SessionOneRootAfterSelectAll)->Arg(100)->Arg(400);
 
 const bool kHeaderPrinted = [] {
   std::cout << "==== PERF-OPS: molecule algebra operator scaling (Σ Π Ω Δ Ψ "

@@ -8,16 +8,23 @@
 //    "machine": {"nproc": <int>, "compiler": "<name version>",
 //                "build_type": "<CMAKE_BUILD_TYPE>"},
 //    "results": [
-//     {"op": "<name>", "ns_per_op": <double>, "iterations": <int>}, ...]}
+//     {"op": "<name>", "ns_per_op": <double>, "iterations": <int>,
+//      "repetitions": <int>, "mad_ns": <double>}, ...]}
 //
 // `machine` says where the numbers came from, so a comparison across
 // machines (tools/bench_compare.py warns on an nproc mismatch) is visible.
+// Under --benchmark_repetitions=N each op still gets one row: `ns_per_op`
+// is the median over its N runs, `mad_ns` their median absolute deviation
+// from it, and `iterations` the iterations of all N runs together.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <vector>
@@ -57,10 +64,47 @@ struct JsonRow {
   std::string op;
   double ns_per_op = 0.0;
   int64_t iterations = 0;
+  int64_t repetitions = 1;
+  double mad_ns = 0.0;
 };
 
+double Median(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  const size_t n = values.size();
+  return n % 2 == 1 ? values[n / 2] : (values[n / 2 - 1] + values[n / 2]) / 2;
+}
+
+/// One row per op, in first-run order: the median of its runs' ns_per_op,
+/// their median absolute deviation, and their summed iterations.
+std::vector<JsonRow> CollapseRepetitions(const std::vector<JsonRow>& runs) {
+  std::vector<JsonRow> rows;
+  std::vector<std::vector<double>> samples;
+  for (const JsonRow& run : runs) {
+    auto it = std::find_if(rows.begin(), rows.end(), [&](const JsonRow& row) {
+      return row.op == run.op;
+    });
+    if (it == rows.end()) {
+      rows.push_back(JsonRow{run.op, 0.0, 0, 0, 0.0});
+      samples.emplace_back();
+      it = std::prev(rows.end());
+    }
+    it->iterations += run.iterations;
+    samples[static_cast<size_t>(it - rows.begin())].push_back(run.ns_per_op);
+  }
+  for (size_t i = 0; i < rows.size(); ++i) {
+    const double median = Median(samples[i]);
+    std::vector<double> deviations;
+    for (double ns : samples[i]) deviations.push_back(std::fabs(ns - median));
+    rows[i].ns_per_op = median;
+    rows[i].repetitions = static_cast<int64_t>(samples[i].size());
+    rows[i].mad_ns = Median(std::move(deviations));
+  }
+  return rows;
+}
+
 /// Console reporter that also keeps a row per successful iteration run
-/// (aggregates like mean/stddev are skipped; they would double-count).
+/// (aggregates like mean/stddev are skipped; CollapseRepetitions computes
+/// the median and MAD that the JSON reports).
 class CollectingReporter : public benchmark::ConsoleReporter {
  public:
   void ReportRuns(const std::vector<Run>& report) override {
@@ -126,7 +170,9 @@ bool WriteJson(const std::string& path, const std::string& binary,
     if (i > 0) out << ",";
     out << "\n  {\"op\": \"" << JsonEscape(rows[i].op)
         << "\", \"ns_per_op\": " << rows[i].ns_per_op
-        << ", \"iterations\": " << rows[i].iterations << "}";
+        << ", \"iterations\": " << rows[i].iterations
+        << ", \"repetitions\": " << rows[i].repetitions
+        << ", \"mad_ns\": " << rows[i].mad_ns << "}";
   }
   out << "\n]}\n";
   return out.good();
@@ -167,9 +213,10 @@ int main(int argc, char** argv) {
   benchmark::RunSpecifiedBenchmarks(&reporter);
   int rc = 0;
   if (!json_path.empty()) {
-    if (WriteJson(json_path, BinaryName(argv[0]), reporter.rows())) {
-      std::cout << "wrote " << reporter.rows().size() << " result(s) to "
-                << json_path << "\n";
+    const std::vector<JsonRow> rows = CollapseRepetitions(reporter.rows());
+    if (WriteJson(json_path, BinaryName(argv[0]), rows)) {
+      std::cout << "wrote " << rows.size() << " result(s) to " << json_path
+                << "\n";
     } else {
       std::cerr << "failed to write " << json_path << "\n";
       rc = 1;

@@ -1,8 +1,8 @@
 #include "core/value.h"
 
 #include <cmath>
+#include <cstdio>
 #include <functional>
-#include <sstream>
 
 namespace mad {
 
@@ -61,9 +61,11 @@ std::string Value::ToString() const {
     case DataType::kInt64:
       return std::to_string(AsInt64());
     case DataType::kDouble: {
-      std::ostringstream os;
-      os << AsDouble();
-      return os.str();
+      // The bytes `std::ostream << double` writes at its default flags and
+      // precision (%g, 6 digits), without building a stream per value.
+      char buf[32];
+      const int n = std::snprintf(buf, sizeof(buf), "%g", AsDouble());
+      return std::string(buf, static_cast<size_t>(n));
     }
     case DataType::kString:
       return "'" + AsString() + "'";

@@ -12,6 +12,29 @@
 
 namespace mad {
 
+// ---- Per-call inputs -------------------------------------------------------
+
+/// One derive call's bound inputs, counters and pushed-qualification state.
+/// Built for the call and dropped with it, so nothing that points into a
+/// statement's plan outlives the call.
+struct DerivationEngine::Call {
+  /// Per description node: its pushed filter (nullptr = unfiltered), and
+  /// whether some program's binding loops need the node's dense rows.
+  std::vector<const expr::CompiledPredicate*> filters_by_node;
+  std::vector<bool> needs_rows;
+  const expr::CompiledPredicate* residual = nullptr;
+  bool filtering = false;
+  size_t atoms_visited = 0;
+  size_t links_scanned = 0;
+  size_t rejected = 0;
+  // One span per description node (published as each group completes),
+  // dense-row buffers for looped nodes, and the reusable program scratch.
+  // All empty when no filters are pushed.
+  std::vector<expr::CompiledPredicate::AtomSpan> spans;
+  std::vector<std::vector<const Atom*>> row_buf;
+  expr::CompiledPredicate::Scratch scratch;
+};
+
 // ---- Description resolution ----------------------------------------------
 
 Result<DerivationEngine> DerivationEngine::Create(const Database& db,
@@ -22,6 +45,7 @@ Result<DerivationEngine> DerivationEngine::Create(const Database& db,
   const std::optional<ReadView>& view = engine.options_.view;
   const size_t node_count = md.nodes().size();
   engine.nodes_.resize(node_count);
+  engine.scratch_.resize(node_count);
   engine.in_edges_.resize(node_count);
   engine.out_edges_.resize(node_count);
 
@@ -30,6 +54,7 @@ Result<DerivationEngine> DerivationEngine::Create(const Database& db,
                          db.GetAtomType(md.nodes()[i].type_name));
     NodeSnapshot& node = engine.nodes_[i];
     node.store = &at->occurrence();
+    node.head_version = node.store->head_version();
     node.pinned = view.has_value() && !node.store->HeadVisibleAt(*view);
     const std::vector<size_t>& ins = md.InLinksOf(md.nodes()[i].label);
     engine.in_edges_[i].assign(ins.begin(), ins.end());
@@ -53,45 +78,113 @@ Result<DerivationEngine> DerivationEngine::Create(const Database& db,
     MAD_ASSIGN_OR_RETURN(edge.to_node, md.NodeIndex(dl.to));
     MAD_ASSIGN_OR_RETURN(const LinkType* lt, db.GetLinkType(dl.link_type));
     edge.store = &lt->occurrence();
+    edge.head_version = edge.store->head_version();
     edge.direction =
         dl.reverse ? LinkDirection::kBackward : LinkDirection::kForward;
     edge.pinned = view.has_value() && !edge.store->HeadVisibleAt(*view);
     engine.edges_.push_back(std::move(edge));
   }
 
-  // Pushed-down qualification: rearrange the filters to node order and note
-  // which nodes must publish dense rows for some program's binding loops.
-  engine.filters_by_node_.assign(node_count, nullptr);
-  engine.needs_rows_.assign(node_count, false);
+  // Reject bad pushed programs now rather than at the first derive call.
+  Call call;
+  MAD_RETURN_IF_ERROR(engine.Bind(engine.options_, &call));
+  return engine;
+}
+
+bool DerivationEngine::SnapshotCurrentAt(const Database& db,
+                                         const MoleculeDescription& md,
+                                         const ReadView& view) const {
+  if (md.nodes().size() != nodes_.size() ||
+      md.links().size() != edges_.size()) {
+    return false;
+  }
+  // Each resolved pointer is compared before anything is read through it,
+  // and then only the live store it matched is read.
+  for (size_t i = 0; i < nodes_.size(); ++i) {
+    Result<const AtomType*> at = db.GetAtomType(md.nodes()[i].type_name);
+    if (!at.ok()) return false;
+    const AtomStore* store = &(*at)->occurrence();
+    if (store != nodes_[i].store || nodes_[i].pinned ||
+        store->head_version() != nodes_[i].head_version ||
+        !store->HeadVisibleAt(view)) {
+      return false;
+    }
+  }
+  for (size_t k = 0; k < edges_.size(); ++k) {
+    Result<const LinkType*> lt = db.GetLinkType(md.links()[k].link_type);
+    if (!lt.ok()) return false;
+    const LinkStore* store = &(*lt)->occurrence();
+    if (store != edges_[k].store || edges_[k].pinned ||
+        store->head_version() != edges_[k].head_version ||
+        !store->HeadVisibleAt(view)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// ---- Binding per-call inputs ---------------------------------------------
+
+Status DerivationEngine::Bind(const DerivationOptions& inputs,
+                              Call* call) const {
+  const size_t node_count = nodes_.size();
+  call->filters_by_node.assign(node_count, nullptr);
+  call->needs_rows.assign(node_count, false);
   auto adopt = [&](const expr::CompiledPredicate* program) -> Status {
     if (program->node_count() != node_count) {
       return Status::InvalidArgument(
           "pushed predicate program was compiled against a different "
           "description");
     }
-    for (size_t n : program->loop_nodes()) engine.needs_rows_[n] = true;
-    engine.filtering_ = true;
+    for (size_t n : program->loop_nodes()) call->needs_rows[n] = true;
+    call->filtering = true;
     return Status::OK();
   };
-  for (const auto& [node_idx, program] : engine.options_.node_filters) {
+  for (const auto& [node_idx, program] : inputs.node_filters) {
     if (program == nullptr) continue;
     if (node_idx >= node_count) {
       return Status::InvalidArgument("pushed filter names node index " +
                                      std::to_string(node_idx) +
                                      " outside the description");
     }
-    if (engine.filters_by_node_[node_idx] != nullptr) {
+    if (call->filters_by_node[node_idx] != nullptr) {
       return Status::InvalidArgument(
-          "node '" + md.nodes()[node_idx].label +
-          "' has more than one pushed filter (conjoin them instead)");
+          "node index " + std::to_string(node_idx) +
+          " has more than one pushed filter (conjoin them instead)");
     }
     MAD_RETURN_IF_ERROR(adopt(program));
-    engine.filters_by_node_[node_idx] = program;
+    call->filters_by_node[node_idx] = program;
   }
-  if (engine.options_.residual != nullptr) {
-    MAD_RETURN_IF_ERROR(adopt(engine.options_.residual));
+  if (inputs.residual != nullptr) {
+    MAD_RETURN_IF_ERROR(adopt(inputs.residual));
+    call->residual = inputs.residual;
   }
-  return engine;
+  if (call->filtering) {
+    call->spans.resize(node_count);
+    call->row_buf.resize(node_count);
+  }
+  return Status::OK();
+}
+
+Status DerivationEngine::CheckReadsLikeSnapshot(
+    const std::optional<ReadView>& view) const {
+  bool any_pinned = false;
+  auto reads_alike = [&](const auto& part) {
+    any_pinned = any_pinned || part.pinned;
+    return part.pinned ==
+           (view.has_value() && !part.store->HeadVisibleAt(*view));
+  };
+  bool alike = std::all_of(nodes_.begin(), nodes_.end(), reads_alike) &&
+               std::all_of(edges_.begin(), edges_.end(), reads_alike);
+  // A pinned store's versions are frozen at Create()'s view.
+  if (alike && any_pinned) {
+    alike = view->epoch == options_.view->epoch &&
+            view->self_stamp == options_.view->self_stamp;
+  }
+  if (alike) return Status::OK();
+  return Status::InvalidArgument(
+      "the derive call's view reads the stores differently from the view "
+      "the engine's snapshot was grown at");
 }
 
 // ---- Snapshot growth -------------------------------------------------------
@@ -164,52 +257,22 @@ void DerivationEngine::Grow() {
   }
 }
 
-// ---- Per-call scratch -----------------------------------------------------
+size_t DerivationEngine::AdmittedCount() const {
+  size_t admitted = 0;
+  for (const NodeSnapshot& node : nodes_) admitted += node.ids.size();
+  return admitted;
+}
 
-/// Epoch-stamped scratch, one instance per derive call: sized once to the
-/// snapshot's admitted atoms, then reused across every root without
-/// clearing — stale entries are dead because their stamp differs from the
-/// current epoch/token.
-struct DerivationEngine::Workspace {
-  struct NodeScratch {
-    std::vector<uint64_t> edge_token;    // last (epoch, edge) that saw the atom
-    std::vector<uint64_t> hit_epoch;     // epoch of first discovery
-    std::vector<uint32_t> hit_count;     // in-edges that reached it this epoch
-    std::vector<uint64_t> member_epoch;  // epoch when accepted as contained
-    std::vector<uint32_t> group;         // contained atoms, derivation order
-    std::vector<uint32_t> order;         // candidate discovery order
-  };
-  std::vector<NodeScratch> nodes;
-  uint64_t epoch = 0;
-  size_t atoms_visited = 0;
-  size_t links_scanned = 0;
-  size_t rejected = 0;
-  // Pushed-qualification state: one span per description node (published as
-  // each group completes), dense-row buffers for looped nodes, and the
-  // reusable program scratch. All empty when no filters are pushed.
-  std::vector<expr::CompiledPredicate::AtomSpan> spans;
-  std::vector<std::vector<const Atom*>> row_buf;
-  expr::CompiledPredicate::Scratch scratch;
-};
-
-DerivationEngine::Workspace DerivationEngine::MakeWorkspace() const {
-  Workspace ws;
-  ws.nodes.resize(nodes_.size());
+void DerivationEngine::SizeScratch() {
   for (size_t i = 0; i < nodes_.size(); ++i) {
-    const size_t occ = nodes_[i].ids.size();
-    ws.nodes[i].edge_token.assign(occ, 0);
-    ws.nodes[i].hit_epoch.assign(occ, 0);
-    ws.nodes[i].hit_count.assign(occ, 0);
-    ws.nodes[i].member_epoch.assign(occ, 0);
+    const size_t admitted = nodes_[i].ids.size();
+    NodeScratch& ns = scratch_[i];
+    if (ns.hit_epoch.size() == admitted) continue;
+    ns.edge_token.resize(admitted, 0);
+    ns.hit_epoch.resize(admitted, 0);
+    ns.hit_count.resize(admitted, 0);
+    ns.member_epoch.resize(admitted, 0);
   }
-  if (filtering_) {
-    ws.spans.resize(nodes_.size());
-    ws.row_buf.resize(nodes_.size());
-    for (size_t i = 0; i < nodes_.size(); ++i) {
-      if (needs_rows_[i]) ws.row_buf[i].reserve(nodes_[i].ids.size());
-    }
-  }
-  return ws;
 }
 
 // ---- Derivation of one molecule (Def. 6) ----------------------------------
@@ -220,20 +283,20 @@ DerivationEngine::Workspace DerivationEngine::MakeWorkspace() const {
 /// completed so far this epoch (a program for node i references only node
 /// i, and the residual runs when all groups are complete).
 Result<bool> DerivationEngine::CompleteNode(size_t node_idx,
-                                            Workspace& ws) const {
-  expr::CompiledPredicate::AtomSpan& span = ws.spans[node_idx];
-  const std::vector<uint32_t>& group = ws.nodes[node_idx].group;
+                                            Call& call) const {
+  expr::CompiledPredicate::AtomSpan& span = call.spans[node_idx];
+  const std::vector<uint32_t>& group = scratch_[node_idx].group;
   span.size = group.size();
-  if (needs_rows_[node_idx]) {
-    std::vector<const Atom*>& buf = ws.row_buf[node_idx];
+  if (call.needs_rows[node_idx]) {
+    std::vector<const Atom*>& buf = call.row_buf[node_idx];
     buf.clear();
     const std::vector<const Atom*>& rows = nodes_[node_idx].rows;
     for (uint32_t member : group) buf.push_back(rows[member]);
     span.data = buf.data();
   }
-  const expr::CompiledPredicate* filter = filters_by_node_[node_idx];
+  const expr::CompiledPredicate* filter = call.filters_by_node[node_idx];
   if (filter == nullptr) return true;
-  return filter->Eval(ws.spans.data(), ws.scratch);
+  return filter->Eval(call.spans.data(), call.scratch);
 }
 
 /// Grows the maximal molecule for one root atom (the `contained`/`total`
@@ -246,42 +309,42 @@ Result<bool> DerivationEngine::CompleteNode(size_t node_idx,
 /// Pushed filters run as each group completes — a subtree that cannot
 /// qualify is pruned before its descendants expand — and the residual
 /// program runs before materialization. Rejections return nullopt.
-Result<std::optional<Molecule>> DerivationEngine::DeriveOne(
-    uint32_t root_dense, Workspace& ws) const {
-  const uint64_t epoch = ++ws.epoch;
+Result<std::optional<Molecule>> DerivationEngine::DeriveOne(uint32_t root_dense,
+                                                            Call& call) {
+  const uint64_t epoch = ++epoch_;
   const uint64_t token_base = epoch * edges_.size();
-  for (Workspace::NodeScratch& ns : ws.nodes) ns.group.clear();
-  if (filtering_) {
-    for (expr::CompiledPredicate::AtomSpan& span : ws.spans) {
+  for (NodeScratch& ns : scratch_) ns.group.clear();
+  if (call.filtering) {
+    for (expr::CompiledPredicate::AtomSpan& span : call.spans) {
       span = expr::CompiledPredicate::AtomSpan{};
     }
   }
 
-  Workspace::NodeScratch& root_scratch = ws.nodes[root_node_];
+  NodeScratch& root_scratch = scratch_[root_node_];
   root_scratch.group.push_back(root_dense);
   root_scratch.member_epoch[root_dense] = epoch;
-  ws.atoms_visited += 1;
-  if (filtering_) {
-    MAD_ASSIGN_OR_RETURN(bool keep, CompleteNode(root_node_, ws));
+  call.atoms_visited += 1;
+  if (call.filtering) {
+    MAD_ASSIGN_OR_RETURN(bool keep, CompleteNode(root_node_, call));
     if (!keep) {
-      ++ws.rejected;
+      ++call.rejected;
       return std::optional<Molecule>();
     }
   }
 
   for (size_t oi = 1; oi < node_order_.size(); ++oi) {
     const size_t node_idx = node_order_[oi];
-    Workspace::NodeScratch& ns = ws.nodes[node_idx];
+    NodeScratch& ns = scratch_[node_idx];
     const std::vector<uint32_t>& ins = in_edges_[node_idx];
     ns.order.clear();
 
     for (uint32_t edge_idx : ins) {
       const uint64_t token = token_base + edge_idx;
       const EdgeSnapshot& edge = edges_[edge_idx];
-      for (uint32_t parent : ws.nodes[edge.from_node].group) {
+      for (uint32_t parent : scratch_[edge.from_node].group) {
         const size_t row_begin = edge.offsets[parent];
         const size_t row_end = edge.offsets[parent + 1];
-        ws.links_scanned += row_end - row_begin;
+        call.links_scanned += row_end - row_begin;
         for (size_t k = row_begin; k < row_end; ++k) {
           const uint32_t target = edge.targets[k];
           if (ns.edge_token[target] == token) continue;  // dedup per edge
@@ -296,27 +359,27 @@ Result<std::optional<Molecule>> DerivationEngine::DeriveOne(
         }
       }
     }
-    ws.atoms_visited += ns.order.size();
+    call.atoms_visited += ns.order.size();
     for (uint32_t candidate : ns.order) {
       if (ns.hit_count[candidate] == ins.size()) {
         ns.group.push_back(candidate);
         ns.member_epoch[candidate] = epoch;
       }
     }
-    if (filtering_) {
-      MAD_ASSIGN_OR_RETURN(bool keep, CompleteNode(node_idx, ws));
+    if (call.filtering) {
+      MAD_ASSIGN_OR_RETURN(bool keep, CompleteNode(node_idx, call));
       if (!keep) {
-        ++ws.rejected;
+        ++call.rejected;
         return std::optional<Molecule>();
       }
     }
   }
 
-  if (options_.residual != nullptr) {
+  if (call.residual != nullptr) {
     MAD_ASSIGN_OR_RETURN(bool keep,
-                         options_.residual->Eval(ws.spans.data(), ws.scratch));
+                         call.residual->Eval(call.spans.data(), call.scratch));
     if (!keep) {
-      ++ws.rejected;
+      ++call.rejected;
       return std::optional<Molecule>();
     }
   }
@@ -324,8 +387,8 @@ Result<std::optional<Molecule>> DerivationEngine::DeriveOne(
   Molecule m(nodes_[root_node_].ids[root_dense], nodes_.size());
   for (size_t i = 0; i < nodes_.size(); ++i) {
     std::vector<AtomId>& out = m.MutableAtomsOf(i);
-    out.reserve(ws.nodes[i].group.size());
-    for (uint32_t member : ws.nodes[i].group) {
+    out.reserve(scratch_[i].group.size());
+    for (uint32_t member : scratch_[i].group) {
       out.push_back(nodes_[i].ids[member]);
     }
   }
@@ -334,13 +397,13 @@ Result<std::optional<Molecule>> DerivationEngine::DeriveOne(
   // atoms along a description edge.
   for (size_t edge_idx = 0; edge_idx < edges_.size(); ++edge_idx) {
     const EdgeSnapshot& edge = edges_[edge_idx];
-    const Workspace::NodeScratch& to_scratch = ws.nodes[edge.to_node];
+    const NodeScratch& to_scratch = scratch_[edge.to_node];
     const std::vector<AtomId>& from_ids = nodes_[edge.from_node].ids;
     const std::vector<AtomId>& to_ids = nodes_[edge.to_node].ids;
-    for (uint32_t parent : ws.nodes[edge.from_node].group) {
+    for (uint32_t parent : scratch_[edge.from_node].group) {
       const size_t row_begin = edge.offsets[parent];
       const size_t row_end = edge.offsets[parent + 1];
-      ws.links_scanned += row_end - row_begin;
+      call.links_scanned += row_end - row_begin;
       for (size_t k = row_begin; k < row_end; ++k) {
         const uint32_t target = edge.targets[k];
         if (to_scratch.member_epoch[target] == epoch) {
@@ -355,20 +418,25 @@ Result<std::optional<Molecule>> DerivationEngine::DeriveOne(
 // ---- Fan-out over the roots ----------------------------------------------
 
 Result<std::vector<Molecule>> DerivationEngine::FanOut(
-    const std::vector<uint32_t>& roots, DerivationStats* stats) const {
+    const std::vector<uint32_t>& roots, size_t admitted, Call& call,
+    DerivationStats* stats) {
   // One span covers the whole fan-out; the per-root loop stays span-free
-  // (it aggregates into DerivationStats instead).
-  ScopedSpan span("derive");
+  // (it aggregates into DerivationStats instead). Its note says how many
+  // atoms this call added to the snapshot: 0 when it reused one.
+  ScopedSpan span("derive", [&] {
+    return std::to_string(admitted) + (admitted == 1 ? " atom" : " atoms") +
+           " admitted";
+  });
   span.set_rows_in(static_cast<int64_t>(roots.size()));
 
   const auto start = std::chrono::steady_clock::now();
-  Workspace ws = MakeWorkspace();
+  SizeScratch();
   // Roots are derived in order, so the output is root order; a filter
   // rejection derives no molecule, and the first evaluation error wins.
   std::vector<Molecule> molecules;
   molecules.reserve(roots.size());
   for (uint32_t root : roots) {
-    MAD_ASSIGN_OR_RETURN(std::optional<Molecule> m, DeriveOne(root, ws));
+    MAD_ASSIGN_OR_RETURN(std::optional<Molecule> m, DeriveOne(root, call));
     if (m.has_value()) molecules.push_back(std::move(*m));
   }
   const double wall_ms = std::chrono::duration<double, std::milli>(
@@ -377,9 +445,9 @@ Result<std::vector<Molecule>> DerivationEngine::FanOut(
   if (stats != nullptr) {
     *stats = DerivationStats{};
     stats->roots = roots.size();
-    stats->atoms_visited = ws.atoms_visited;
-    stats->links_scanned = ws.links_scanned;
-    stats->molecules_rejected = ws.rejected;
+    stats->atoms_visited = call.atoms_visited;
+    stats->links_scanned = call.links_scanned;
+    stats->molecules_rejected = call.rejected;
     stats->wall_ms = wall_ms;
   }
 
@@ -396,58 +464,82 @@ Result<std::vector<Molecule>> DerivationEngine::FanOut(
   static Histogram& wall_hist =
       Registry::Global().GetHistogram("derivation.fanout_us");
   roots_counter.Add(roots.size());
-  atoms_counter.Add(ws.atoms_visited);
-  links_counter.Add(ws.links_scanned);
-  rejected_counter.Add(ws.rejected);
+  atoms_counter.Add(call.atoms_visited);
+  links_counter.Add(call.links_scanned);
+  rejected_counter.Add(call.rejected);
   wall_hist.Observe(static_cast<uint64_t>(wall_ms * 1000.0));
 
   span.set_rows_out(static_cast<int64_t>(molecules.size()));
   return molecules;
 }
 
-Result<std::vector<Molecule>> DerivationEngine::DeriveAll(
+Result<std::vector<Molecule>> DerivationEngine::DeriveWith(
+    const std::vector<AtomId>* roots, const DerivationOptions& inputs,
     DerivationStats* stats) {
+  Call call;
+  MAD_RETURN_IF_ERROR(Bind(inputs, &call));
+  const size_t admitted_before = AdmittedCount();
   NodeSnapshot& root = nodes_[root_node_];
   root.Touch(options_.view);
-  std::vector<uint32_t> roots(root.dense_of.size());
-  for (size_t position = 0; position < roots.size(); ++position) {
-    roots[position] = root.Admit(position);
+  std::vector<uint32_t> dense_roots;
+  if (roots == nullptr) {
+    dense_roots.resize(root.dense_of.size());
+    for (size_t position = 0; position < dense_roots.size(); ++position) {
+      dense_roots[position] = root.Admit(position);
+    }
+  } else {
+    // Validate every root before deriving anything, and report all
+    // offenders in one message instead of failing at the first mid-loop.
+    dense_roots.reserve(roots->size());
+    std::string bad;
+    size_t bad_count = 0;
+    for (AtomId id : *roots) {
+      std::optional<size_t> position = root.PositionOf(id);
+      if (!position.has_value()) {
+        bad += bad.empty() ? "#" : ", #";
+        bad += std::to_string(id.value);
+        ++bad_count;
+        continue;
+      }
+      dense_roots.push_back(root.Admit(*position));
+    }
+    if (bad_count > 0) {
+      return Status::NotFound(
+          (bad_count == 1 ? "atom " + bad + " is" : "atoms " + bad + " are") +
+          " not in root atom type '" + root_type_name_ + "'");
+    }
   }
   Grow();
-  return FanOut(roots, stats);
+  return FanOut(dense_roots, AdmittedCount() - admitted_before, call, stats);
+}
+
+Result<std::vector<Molecule>> DerivationEngine::DeriveAll(
+    DerivationStats* stats) {
+  return DeriveWith(nullptr, options_, stats);
 }
 
 Result<std::vector<Molecule>> DerivationEngine::DeriveForRoots(
     const std::vector<AtomId>& roots, DerivationStats* stats) {
-  // Validate every root before deriving anything, and report all offenders
-  // in one message instead of failing at the first mid-loop.
-  NodeSnapshot& root = nodes_[root_node_];
-  root.Touch(options_.view);
-  std::vector<uint32_t> dense_roots;
-  dense_roots.reserve(roots.size());
-  std::string bad;
-  size_t bad_count = 0;
-  for (AtomId id : roots) {
-    std::optional<size_t> position = root.PositionOf(id);
-    if (!position.has_value()) {
-      bad += bad.empty() ? "#" : ", #";
-      bad += std::to_string(id.value);
-      ++bad_count;
-      continue;
-    }
-    dense_roots.push_back(root.Admit(*position));
-  }
-  if (bad_count > 0) {
-    return Status::NotFound(
-        (bad_count == 1 ? "atom " + bad + " is" : "atoms " + bad + " are") +
-        " not in root atom type '" + root_type_name_ + "'");
-  }
-  Grow();
-  return FanOut(dense_roots, stats);
+  return DeriveWith(&roots, options_, stats);
+}
+
+Result<std::vector<Molecule>> DerivationEngine::DeriveAll(
+    const DerivationOptions& inputs, DerivationStats* stats) {
+  MAD_RETURN_IF_ERROR(CheckReadsLikeSnapshot(inputs.view));
+  return DeriveWith(nullptr, inputs, stats);
+}
+
+Result<std::vector<Molecule>> DerivationEngine::DeriveForRoots(
+    const std::vector<AtomId>& roots, const DerivationOptions& inputs,
+    DerivationStats* stats) {
+  MAD_RETURN_IF_ERROR(CheckReadsLikeSnapshot(inputs.view));
+  return DeriveWith(&roots, inputs, stats);
 }
 
 Result<Molecule> DerivationEngine::DeriveFor(AtomId root,
                                              DerivationStats* stats) {
+  Call call;
+  MAD_RETURN_IF_ERROR(Bind(options_, &call));
   NodeSnapshot& root_node = nodes_[root_node_];
   root_node.Touch(options_.view);
   std::optional<size_t> position = root_node.PositionOf(root);
@@ -458,8 +550,8 @@ Result<Molecule> DerivationEngine::DeriveFor(AtomId root,
   }
   const uint32_t root_dense = root_node.Admit(*position);
   Grow();
-  Workspace ws = MakeWorkspace();
-  MAD_ASSIGN_OR_RETURN(std::optional<Molecule> m, DeriveOne(root_dense, ws));
+  SizeScratch();
+  MAD_ASSIGN_OR_RETURN(std::optional<Molecule> m, DeriveOne(root_dense, call));
   if (!m.has_value()) {
     return Status::NotFound("molecule #" + std::to_string(root.value) +
                             " was rejected by pushed-down qualification");
@@ -467,8 +559,8 @@ Result<Molecule> DerivationEngine::DeriveFor(AtomId root,
   if (stats != nullptr) {
     *stats = DerivationStats{};
     stats->roots = 1;
-    stats->atoms_visited = ws.atoms_visited;
-    stats->links_scanned = ws.links_scanned;
+    stats->atoms_visited = call.atoms_visited;
+    stats->links_scanned = call.links_scanned;
   }
   return *std::move(m);
 }

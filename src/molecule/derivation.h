@@ -20,7 +20,10 @@ namespace expr {
 class CompiledPredicate;
 }  // namespace expr
 
-/// Tuning knobs of the derivation engine.
+/// Tuning knobs of the derivation engine, which are also the inputs of one
+/// derive call: the options given to Create() serve the calls that take no
+/// inputs of their own, and the calls that do take them replace all three
+/// (view, pushed filters, residual) for that call only.
 struct DerivationOptions {
   DerivationOptions() = default;
   /// No-op, kept with `parallelism` only for the servebench sources, which
@@ -43,7 +46,8 @@ struct DerivationOptions {
   /// disjunctions, FORALL across nodes): evaluated over the completed
   /// groups of each molecule, before materialization.
   const expr::CompiledPredicate* residual = nullptr;
-  // The compiled programs are borrowed and must outlive every derive call.
+  // The compiled programs are borrowed and must outlive every derive call
+  // that reads them.
   /// Epoch pin: when set, derivation reads the versions visible at this view
   /// instead of the head (DESIGN.md §11). A store the view can read as-is
   /// (`HeadVisibleAt`) is still read through its head; any other is read
@@ -68,20 +72,27 @@ struct DerivationOptions {
 /// lookups, and output order never depends on which call admitted an atom:
 /// groups follow edge-row order, which is LinkStore partner order.
 ///
-/// Mutation contract: the database must not change between Create() and
-/// the last derive call. Later calls resolve further atoms in the stores,
-/// and the snapshot's rows point into them — the same contract the pushed
-/// CompiledPredicate programs carry. Build a new engine after mutations, as
-/// σ and the MQL session (which holds the reader lock for the whole
-/// statement) do.
+/// Mutation contract: the snapshot's rows point into the stores Create()
+/// resolved, so a derive call may run only while every one of them is
+/// unchanged since Create() — the same head version (AtomStore and
+/// LinkStore::head_version) — and reads the way the snapshot does at the
+/// call's view. Within one statement the reader lock guarantees this.
+/// Across statements, SnapshotCurrentAt() says whether it still holds: the
+/// MQL session keeps the engine of an unseeded SELECT and derives later
+/// SELECTs on it only while it does (DESIGN.md §6). Per-call inputs — the
+/// view, the pushed filters and the residual, which point into one
+/// statement's plan — are bound per derive call and never kept.
 ///
-/// A derive call runs on the calling thread: one epoch-stamped scratch
-/// workspace sized to the admitted atoms serves every root, so no per-root
-/// allocation or clearing is needed, and molecules come out in root order.
+/// A derive call runs on the calling thread. One epoch-stamped scratch
+/// workspace, kept by the engine and grown with admissions, serves every
+/// root of every call without clearing, and molecules come out in root
+/// order.
 class DerivationEngine {
  public:
-  /// Resolves `md` against `db`: atom and link stores, topological order,
-  /// in- and out-edges, pushed programs. Reads no atom or link.
+  /// Resolves `md` against `db`: atom and link stores with their head
+  /// versions, topological order, in- and out-edges, and whether `options`'
+  /// view reads each store through its head. Validates the pushed programs.
+  /// Reads no atom or link.
   static Result<DerivationEngine> Create(const Database& db,
                                          const MoleculeDescription& md,
                                          DerivationOptions options = {});
@@ -97,8 +108,30 @@ class DerivationEngine {
   Result<std::vector<Molecule>> DeriveForRoots(
       const std::vector<AtomId>& roots, DerivationStats* stats = nullptr);
 
+  /// DeriveAll and DeriveForRoots with per-call inputs in place of the
+  /// options given to Create(). `inputs.view` must read every store the way
+  /// the snapshot does: as Create()'s view did, or — when the snapshot read
+  /// every store through its head — as any view at which
+  /// SnapshotCurrentAt() holds. A view that reads otherwise fails the call
+  /// with InvalidArgument before anything is derived.
+  Result<std::vector<Molecule>> DeriveAll(const DerivationOptions& inputs,
+                                          DerivationStats* stats);
+  Result<std::vector<Molecule>> DeriveForRoots(
+      const std::vector<AtomId>& roots, const DerivationOptions& inputs,
+      DerivationStats* stats);
+
   /// The single molecule rooted at `root`.
   Result<Molecule> DeriveFor(AtomId root, DerivationStats* stats = nullptr);
+
+  /// Whether a later derive call at `view` may grow this snapshot further:
+  /// `md` (the description the engine was created from) re-resolved by
+  /// name in `db` yields the very stores the engine resolved, each is still
+  /// at the head version it had at Create() and head-visible at `view`, and
+  /// the engine reads no store through a pinned view. A resolved store
+  /// pointer is only compared, never read, until it has matched a live
+  /// store: dropping a type frees its store.
+  bool SnapshotCurrentAt(const Database& db, const MoleculeDescription& md,
+                         const ReadView& view) const;
 
  private:
   static constexpr uint32_t kUnadmitted = UINT32_MAX;
@@ -108,6 +141,7 @@ class DerivationEngine {
   /// root or as a partner.
   struct NodeSnapshot {
     const AtomStore* store = nullptr;
+    uint64_t head_version = 0;  // store->head_version() at Create()
     /// The view cannot read the store's head as-is: occurrence positions
     /// index `visible`, the versions visible at the view, instead of the
     /// head.
@@ -144,35 +178,59 @@ class DerivationEngine {
     size_t from_node = 0;
     size_t to_node = 0;
     const LinkStore* store = nullptr;
+    uint64_t head_version = 0;  // store->head_version() at Create()
     LinkDirection direction = LinkDirection::kForward;
     bool pinned = false;  // read PartnersAt(view) instead of Partners()
     std::vector<size_t> offsets{0};
     std::vector<uint32_t> targets;
   };
-  struct Workspace;
+  /// One node's epoch-stamped scratch, kept across calls: entry d belongs
+  /// to the atom of dense index d, and the arrays grow with admissions
+  /// (new entries zero). A stamp below the current epoch is dead, so
+  /// nothing is cleared between roots or calls, and a call costs only what
+  /// it reaches however large the kept snapshot is.
+  struct NodeScratch {
+    std::vector<uint64_t> edge_token;    // last (epoch, edge) that saw the atom
+    std::vector<uint64_t> hit_epoch;     // epoch of first discovery
+    std::vector<uint32_t> hit_count;     // in-edges that reached it this epoch
+    std::vector<uint64_t> member_epoch;  // epoch when accepted as contained
+    std::vector<uint32_t> group;         // contained atoms, derivation order
+    std::vector<uint32_t> order;         // candidate discovery order
+  };
+  struct Call;
 
   DerivationEngine() = default;
 
+  /// Arranges `inputs`' programs by node into `call`; InvalidArgument when
+  /// a program was compiled for another description or two name one node.
+  Status Bind(const DerivationOptions& inputs, Call* call) const;
+  /// InvalidArgument unless `view` reads every store as the snapshot does
+  /// (see DeriveAll(inputs, stats)).
+  Status CheckReadsLikeSnapshot(const std::optional<ReadView>& view) const;
+  /// Admits exactly `roots`, or every root-type atom when `roots` is null,
+  /// grows the snapshot and fans out over them.
+  Result<std::vector<Molecule>> DeriveWith(const std::vector<AtomId>* roots,
+                                           const DerivationOptions& inputs,
+                                           DerivationStats* stats);
   /// Gives every admitted atom without rows its row on each outgoing edge,
   /// node by node in topological order, admitting partners as found.
   void Grow();
+  /// Atoms admitted so far, over every node.
+  size_t AdmittedCount() const;
+  /// Grows the kept scratch to the admitted atoms.
+  void SizeScratch();
   /// Derives the molecule for one root; nullopt when a pushed filter or the
   /// residual program rejected it, an error status when a program failed to
   /// evaluate.
-  Result<std::optional<Molecule>> DeriveOne(uint32_t root_dense,
-                                            Workspace& ws) const;
-  Result<bool> CompleteNode(size_t node_idx, Workspace& ws) const;
-  Workspace MakeWorkspace() const;
+  Result<std::optional<Molecule>> DeriveOne(uint32_t root_dense, Call& call);
+  Result<bool> CompleteNode(size_t node_idx, Call& call) const;
   Result<std::vector<Molecule>> FanOut(const std::vector<uint32_t>& roots,
-                                       DerivationStats* stats) const;
+                                       size_t admitted, Call& call,
+                                       DerivationStats* stats);
 
+  /// The inputs of the calls that take none of their own; `view` is also
+  /// the view the snapshot reads pinned stores at.
   DerivationOptions options_;
-  /// Per description node: options_.node_filters rearranged to node order
-  /// (nullptr = unfiltered), plus which nodes need dense rows published for
-  /// the binding loops of any program.
-  std::vector<const expr::CompiledPredicate*> filters_by_node_;
-  std::vector<bool> needs_rows_;
-  bool filtering_ = false;
   std::vector<NodeSnapshot> nodes_;
   std::vector<EdgeSnapshot> edges_;
   std::vector<size_t> node_order_;  // node indexes in topo order, root first
@@ -181,6 +239,9 @@ class DerivationEngine {
   std::vector<std::vector<uint32_t>> in_edges_;
   std::vector<std::vector<uint32_t>> out_edges_;
   std::string root_type_name_;  // for error messages
+  /// The kept workspace: per-node scratch and the epoch that stamps it.
+  std::vector<NodeScratch> scratch_;
+  uint64_t epoch_ = 0;
 };
 
 /// The function m_dom (Def. 6): derives every molecule matching `md` from

@@ -38,8 +38,10 @@ Result<RecursiveMolecule> DeriveRecursiveMoleculeFor(
   std::vector<AtomId> frontier = {root};
   int depth = 0;
   size_t links_traversed = 0;
+  uint64_t rounds = 0;
   while (!frontier.empty() &&
          (rd.max_depth < 0 || depth < rd.max_depth)) {
+    ++rounds;
     ScopedSpan round_span("closure-round",
                           [&] { return "depth " + std::to_string(depth); });
     round_span.set_rows_in(static_cast<int64_t>(frontier.size()));
@@ -75,7 +77,7 @@ Result<RecursiveMolecule> DeriveRecursiveMoleculeFor(
   static Counter& rounds_counter =
       Registry::Global().GetCounter("closure.rounds");
   links_counter.Add(links_traversed);
-  rounds_counter.Add(static_cast<uint64_t>(depth) + 1);
+  rounds_counter.Add(rounds);
   return molecule;
 }
 

@@ -47,8 +47,9 @@ Result<Roots> SeedRoots(const Database& db, const SelectPlan& plan) {
   const AtomStore& store = root_at->occurrence();
   std::vector<AtomId> roots;
   if (pushdown.seed.has_value()) {
-    // Bucket order is index insertion order, which diverges from occurrence
-    // order after updates.
+    // AttributeIndex::Lookup lists the bucket in head order, which is
+    // occurrence order; the sort by position keeps the roots in that order
+    // without depending on the index's bookkeeping.
     const IndexSeed& seed = *pushdown.seed;
     ScopedSpan span("index-seed", [&] {
       return type + "." + seed.attribute + " = " + seed.value.ToString();
@@ -168,22 +169,31 @@ Result<QueryResult> ExecuteRecursive(const Database& db,
   return result;
 }
 
+}  // namespace
+
+/// The derivation snapshot an unseeded SELECT grew, with the description it
+/// was grown for.
+struct Session::KeptSnapshot {
+  MoleculeDescription description;
+  DerivationEngine engine;
+};
+
 /// Executes a plan: one DerivationEngine runs a with the pushed Σ fused in
 /// (node filters at group completion, the residual in the fan-out) over the
 /// seeded roots, then Π.
-Result<QueryResult> ExecutePlan(const Database& db, const SelectPlan& plan,
-                                const ReadView& view) {
-  if (plan.recursive.has_value()) return ExecuteRecursive(db, plan, view);
-  DerivationOptions dopts;
-  dopts.view = view;
+Result<QueryResult> Session::ExecutePlan(const SelectPlan& plan,
+                                         const ReadView& view) {
+  if (plan.recursive.has_value()) return ExecuteRecursive(*db_, plan, view);
+  DerivationOptions inputs;
+  inputs.view = view;
   for (size_t i = 0; i < plan.node_programs.size(); ++i) {
-    dopts.node_filters.emplace_back(plan.pushdown.node_filters[i].node_index,
-                                    &plan.node_programs[i]);
+    inputs.node_filters.emplace_back(plan.pushdown.node_filters[i].node_index,
+                                     &plan.node_programs[i]);
   }
   if (plan.residual_program.has_value()) {
-    dopts.residual = &*plan.residual_program;
+    inputs.residual = &*plan.residual_program;
   }
-  MAD_ASSIGN_OR_RETURN(Roots roots, SeedRoots(db, plan));
+  MAD_ASSIGN_OR_RETURN(Roots roots, SeedRoots(*db_, plan));
   DerivationStats stats;
   std::vector<Molecule> molecules;
   {
@@ -193,12 +203,8 @@ Result<QueryResult> ExecutePlan(const Database& db, const SelectPlan& plan,
     if (plan.where != nullptr) {
       sigma.emplace("sigma", [&] { return plan.where->ToString(); });
     }
-    MAD_ASSIGN_OR_RETURN(
-        DerivationEngine engine,
-        DerivationEngine::Create(db, *plan.description, dopts));
-    MAD_ASSIGN_OR_RETURN(molecules, roots.has_value()
-                                        ? engine.DeriveForRoots(*roots, &stats)
-                                        : engine.DeriveAll(&stats));
+    MAD_ASSIGN_OR_RETURN(molecules,
+                         Derive(*plan.description, roots, inputs, &stats));
     if (sigma.has_value()) {
       sigma->set_rows_in(static_cast<int64_t>(stats.roots));
       sigma->set_rows_out(static_cast<int64_t>(molecules.size()));
@@ -206,8 +212,8 @@ Result<QueryResult> ExecutePlan(const Database& db, const SelectPlan& plan,
   }
   MoleculeType mt(plan.name, *plan.description, std::move(molecules));
   if (plan.projection.has_value()) {
-    MAD_ASSIGN_OR_RETURN(mt,
-                         ProjectMolecules(db, mt, *plan.projection, plan.name));
+    MAD_ASSIGN_OR_RETURN(
+        mt, ProjectMolecules(*db_, mt, *plan.projection, plan.name));
   }
   QueryResult result;
   result.epoch = view.epoch;
@@ -217,7 +223,36 @@ Result<QueryResult> ExecutePlan(const Database& db, const SelectPlan& plan,
   return result;
 }
 
-}  // namespace
+Result<std::vector<Molecule>> Session::Derive(
+    const MoleculeDescription& md,
+    const std::optional<std::vector<AtomId>>& roots,
+    const DerivationOptions& inputs, DerivationStats* stats) {
+  const ReadView& view = *inputs.view;
+  if (kept_snapshot_ != nullptr &&
+      (kept_snapshot_->description != md ||
+       !kept_snapshot_->engine.SnapshotCurrentAt(*db_, md, view))) {
+    kept_snapshot_.reset();
+  }
+  if (kept_snapshot_ != nullptr) {
+    DerivationEngine& kept = kept_snapshot_->engine;
+    return roots.has_value() ? kept.DeriveForRoots(*roots, inputs, stats)
+                             : kept.DeriveAll(inputs, stats);
+  }
+  DerivationOptions resolve;
+  resolve.view = view;
+  MAD_ASSIGN_OR_RETURN(DerivationEngine engine,
+                       DerivationEngine::Create(*db_, md, std::move(resolve)));
+  if (roots.has_value()) return engine.DeriveForRoots(*roots, inputs, stats);
+  MAD_ASSIGN_OR_RETURN(std::vector<Molecule> molecules,
+                       engine.DeriveAll(inputs, stats));
+  // Only a snapshot of every root is kept: a seeded one is sized to its
+  // reach and cheap to grow again. One read through a pinned view is never
+  // current at a later statement, so it is not kept either.
+  if (engine.SnapshotCurrentAt(*db_, md, view)) {
+    kept_snapshot_.reset(new KeptSnapshot{md, std::move(engine)});
+  }
+  return molecules;
+}
 
 Session::Session(Database* db, SessionOptions options)
     : db_(db),
@@ -398,7 +433,7 @@ Result<QueryResult> Session::RunSelect(const SelectStatement& stmt,
     MAD_RETURN_IF_ERROR(
         RegisterMoleculeType(stmt.from.molecule_name, *plan.description));
   }
-  MAD_ASSIGN_OR_RETURN(QueryResult result, ExecutePlan(*db_, plan, view));
+  MAD_ASSIGN_OR_RETURN(QueryResult result, ExecutePlan(plan, view));
   select_span.set_rows_out(static_cast<int64_t>(
       result.molecules != nullptr ? result.molecules->size()
                                   : result.recursive.size()));
@@ -689,8 +724,10 @@ Result<QueryResult> Session::RunOpen(OpenStatement stmt) {
                        DurableDatabase::Open(stmt.directory, options));
   // Swap the session over: molecule types registered against the previous
   // database describe structures that may not exist in the new one. The
-  // snapshot pin references the previous database and must go first.
+  // snapshot pin and the kept derivation snapshot reference the previous
+  // database and must go first.
   snapshot_pin_.Release();
+  kept_snapshot_.reset();
   durable_ = std::move(durable);
   db_ = &durable_->database();
   registry_.clear();

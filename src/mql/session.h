@@ -18,7 +18,12 @@
 #include "util/trace.h"
 
 namespace mad {
+
+struct DerivationOptions;
+
 namespace mql {
+
+struct SelectPlan;
 
 /// The outcome of one executed MQL statement.
 struct QueryResult {
@@ -130,6 +135,16 @@ class Session {
   /// executed plan there (EXPLAIN ANALYZE).
   Result<QueryResult> RunSelect(const SelectStatement& stmt,
                                 std::string* explain = nullptr);
+  Result<QueryResult> ExecutePlan(const SelectPlan& plan,
+                                  const ReadView& view);
+  /// a over `md` for `roots` (every root when nullopt) with the statement's
+  /// `inputs`, on the kept snapshot while it is current at the inputs' view,
+  /// else on a fresh engine, which is kept when it derived every root and
+  /// read every store through its head (DESIGN.md §6).
+  Result<std::vector<Molecule>> Derive(
+      const MoleculeDescription& md,
+      const std::optional<std::vector<AtomId>>& roots,
+      const DerivationOptions& inputs, DerivationStats* stats);
   Result<QueryResult> RunCreateAtomType(CreateAtomTypeStatement stmt);
   Result<QueryResult> RunCreateLinkType(CreateLinkTypeStatement stmt);
   Result<QueryResult> RunInsertAtom(InsertAtomStatement stmt);
@@ -186,6 +201,12 @@ class Session {
   /// durable_ so it releases against a still-live database on destruction;
   /// RunOpen releases it by hand before swapping databases.
   EpochPin snapshot_pin_;
+  /// At most one derivation snapshot kept across SELECTs (DESIGN.md §6).
+  /// It is this session's alone and is read or replaced only while the
+  /// session runs a SELECT under the reader lock, so it needs no lock of
+  /// its own. RunOpen drops it together with the database it describes.
+  struct KeptSnapshot;
+  std::unique_ptr<KeptSnapshot> kept_snapshot_;
   /// The open BEGIN, if any. Declared last: its destructor (auto-rollback)
   /// must run before the database it mutates can go away with durable_.
   std::unique_ptr<Transaction> txn_;

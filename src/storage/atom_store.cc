@@ -17,6 +17,7 @@ Status AtomStore::Insert(Atom atom, uint64_t create_epoch) {
   columns_.AppendRow(atoms_.back());
   meta_.push_back(VersionMeta{create_epoch, next_seq_++});
   NoteEpoch(create_epoch);
+  head_version_ = NextHeadVersion();
   return Status::OK();
 }
 
@@ -34,6 +35,7 @@ Status AtomStore::Erase(AtomId id) {
   columns_.EraseRow(pos);
   // Reindex the tail to keep insertion order stable.
   for (size_t i = pos; i < atoms_.size(); ++i) by_id_[atoms_[i].id] = i;
+  head_version_ = NextHeadVersion();
   return Status::OK();
 }
 
@@ -56,6 +58,7 @@ Result<AtomStore::ArchiveHandle> AtomStore::Archive(AtomId id,
   columns_.EraseRow(pos);
   for (size_t i = pos; i < atoms_.size(); ++i) by_id_[atoms_[i].id] = i;
   NoteEpoch(delete_epoch);
+  head_version_ = NextHeadVersion();
   return std::prev(archived_.end());
 }
 
@@ -78,6 +81,7 @@ Status AtomStore::Resurrect(ArchiveHandle handle) {
   meta_.insert(pos_it, VersionMeta{handle->create_epoch, handle->seq});
   for (size_t i = pos; i < atoms_.size(); ++i) by_id_[atoms_[i].id] = i;
   archived_.erase(handle);
+  head_version_ = NextHeadVersion();
   return Status::OK();
 }
 
@@ -125,8 +129,9 @@ std::vector<AtomId> AtomStore::MoveToEnd(const std::vector<AtomId>& ids) {
   }
   moved.reserve(positions.size());
   for (size_t pos : positions) moved.push_back(atoms_[pos].id);
-  // Erase + Insert keeps the column mirror and the pending count exact; in
-  // ascending position order the moved versions keep their relative order.
+  // Erase + Insert keeps the column mirror, the pending count and the head
+  // version exact; in ascending position order the moved versions keep
+  // their relative order.
   for (AtomId id : moved) {
     const size_t pos = by_id_.at(id);
     Atom atom = atoms_[pos];

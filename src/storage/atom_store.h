@@ -140,12 +140,20 @@ class AtomStore {
   size_t size() const { return atoms_.size(); }
   bool empty() const { return atoms_.empty(); }
 
+  /// Changes whenever the head does: Insert, Erase, Archive, Resurrect,
+  /// MoveToEnd (through Erase and Insert) and Reserve each draw a fresh
+  /// NextHeadVersion(). Equal versions of one live store mean the head
+  /// vector — ids, values, positions and row addresses — is unchanged.
+  /// Restamps and archive-only changes keep it; HeadVisibleAt tracks those.
+  uint64_t head_version() const { return head_version_; }
+
   /// Pre-sizes the head for `n` atoms (bulk loads: checkpoint recovery,
   /// workload generators).
   void Reserve(size_t n) {
     atoms_.reserve(n);
     meta_.reserve(n);
     columns_.Reserve(n);
+    head_version_ = NextHeadVersion();
   }
 
   /// Atoms in insertion order (the head — see class comment).
@@ -189,6 +197,7 @@ class AtomStore {
   /// Head == snapshot for every epoch >= clean_epoch_ (given no pending).
   uint64_t clean_epoch_ = 0;
   size_t pending_count_ = 0;
+  uint64_t head_version_ = NextHeadVersion();
 };
 
 }  // namespace mad

@@ -31,6 +31,7 @@ Status LinkStore::Insert(AtomId first, AtomId second, uint64_t create_epoch) {
   forward_[first].push_back(second);
   backward_[second].push_back(first);
   NoteEpoch(create_epoch);
+  head_version_ = NextHeadVersion();
   return Status::OK();
 }
 
@@ -56,6 +57,7 @@ Status LinkStore::Erase(AtomId first, AtomId second) {
   if (IsPendingEpoch(info.create_epoch)) --pending_count_;
   RemoveOne(forward_[first], second);
   RemoveOne(backward_[second], first);
+  head_version_ = NextHeadVersion();
   return Status::OK();
 }
 
@@ -75,6 +77,7 @@ Result<LinkStore::ArchiveHandle> LinkStore::Archive(AtomId first,
   archived_.push_back(
       ArchivedLink{link, info.create_epoch, delete_epoch, info.seq});
   NoteEpoch(delete_epoch);
+  head_version_ = NextHeadVersion();
   return std::prev(archived_.end());
 }
 
@@ -114,6 +117,7 @@ Status LinkStore::Resurrect(ArchiveHandle handle) {
     list.insert(list.begin() + static_cast<ptrdiff_t>(pos), link.first);
   }
   archived_.erase(handle);
+  head_version_ = NextHeadVersion();
   return Status::OK();
 }
 
@@ -201,6 +205,7 @@ size_t LinkStore::EraseAllOf(AtomId atom) {
     }
     backward_.erase(bit);
   }
+  head_version_ = NextHeadVersion();
   return erased;
 }
 
@@ -229,6 +234,7 @@ size_t LinkStore::ArchiveAllOf(AtomId atom, uint64_t delete_epoch,
     if (out != nullptr) out->push_back(handle.value());
     ++archived;
   }
+  head_version_ = NextHeadVersion();
   return archived;
 }
 

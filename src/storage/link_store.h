@@ -143,6 +143,11 @@ class LinkStore {
   size_t size() const { return links_.size(); }
   bool empty() const { return links_.empty(); }
 
+  /// Changes whenever the head does: Insert, Erase, Archive, Resurrect,
+  /// MoveToEnd (through Erase and Insert), EraseAllOf and ArchiveAllOf each
+  /// draw a fresh NextHeadVersion(). See AtomStore::head_version.
+  uint64_t head_version() const { return head_version_; }
+
   /// All live links, in storage order (see class comment).
   const std::vector<Link>& links() const { return links_; }
 
@@ -192,6 +197,7 @@ class LinkStore {
   uint64_t next_seq_ = 1;
   uint64_t clean_epoch_ = 0;
   size_t pending_count_ = 0;
+  uint64_t head_version_ = NextHeadVersion();
 };
 
 }  // namespace mad

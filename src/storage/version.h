@@ -1,6 +1,7 @@
 #ifndef MAD_STORAGE_VERSION_H_
 #define MAD_STORAGE_VERSION_H_
 
+#include <atomic>
 #include <cstdint>
 
 namespace mad {
@@ -49,6 +50,15 @@ inline constexpr bool VisibleAt(uint64_t create_epoch, uint64_t delete_epoch,
       delete_epoch <= view.epoch ||
       (view.self_stamp != 0 && delete_epoch == view.self_stamp);
   return created && !deleted;
+}
+
+/// A fresh head version for AtomStore / LinkStore::head_version. Every store
+/// draws from this one process-wide counter, at construction and on every
+/// head mutation, so no two store states share a version — not even those
+/// of a dropped store and a new one allocated at its address.
+inline uint64_t NextHeadVersion() {
+  static std::atomic<uint64_t> next{1};
+  return next.fetch_add(1, std::memory_order_relaxed);
 }
 
 /// Per-version bookkeeping carried alongside every live store entry.

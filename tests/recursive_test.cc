@@ -4,6 +4,8 @@
 
 #include <set>
 
+#include "util/metrics.h"
+#include "util/trace.h"
 #include "workload/bom.h"
 
 namespace mad {
@@ -74,6 +76,30 @@ TEST_F(RecursiveTest, DepthBoundedExplosion) {
   auto m2 = DeriveRecursiveMoleculeFor(db_, Explosion(2), ids_["car"]);
   ASSERT_TRUE(m2.ok());
   EXPECT_EQ(m2->atom_count(), 5u);  // piston and bolt both arrive at depth 2
+}
+
+TEST_F(RecursiveTest, RoundsCounterCountsTheRoundsThatRan) {
+  // The car explodes in 3 rounds (the third finds no new part): a bound of
+  // 1 or 2 stops the closure after 1 or 2, and *3 runs all 3.
+  const Counter& rounds = Registry::Global().GetCounter("closure.rounds");
+  for (int max_depth : {-1, 1, 2, 3}) {
+    QueryTrace trace;
+    const uint64_t before = rounds.value();
+    {
+      TraceScope scope(&trace);
+      ASSERT_TRUE(
+          DeriveRecursiveMoleculeFor(db_, Explosion(max_depth), ids_["car"])
+              .ok());
+    }
+    uint64_t round_spans = 0;
+    for (const TraceSpan& span : trace.spans()) {
+      if (span.name == "closure-round") ++round_spans;
+    }
+    EXPECT_EQ(rounds.value() - before, round_spans)
+        << "max_depth " << max_depth;
+    EXPECT_EQ(round_spans, max_depth == 1 ? 1u : max_depth == 2 ? 2u : 3u)
+        << "max_depth " << max_depth;
+  }
 }
 
 TEST_F(RecursiveTest, PartsImplosionUsesLinkSymmetry) {

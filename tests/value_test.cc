@@ -2,6 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <ios>
+#include <limits>
+#include <random>
+#include <sstream>
+#include <string>
+#include <vector>
+
 #include "core/data_type.h"
 
 namespace mad {
@@ -41,6 +51,66 @@ TEST(ValueTest, ToString) {
   EXPECT_EQ(Value(int64_t{1000}).ToString(), "1000");
   EXPECT_EQ(Value("SP").ToString(), "'SP'");
   EXPECT_EQ(Value(false).ToString(), "FALSE");
+}
+
+/// What Value::ToString printed for doubles when it wrote them through a
+/// default-formatted std::ostringstream.
+std::string StreamFormatted(double d) {
+  std::ostringstream os;
+  os << d;
+  return os.str();
+}
+
+TEST(ValueTest, DoubleToStringMatchesTheDefaultStream) {
+  using Limits = std::numeric_limits<double>;
+  std::vector<double> values = {
+      0.0,
+      -0.0,
+      Limits::infinity(),
+      -Limits::infinity(),
+      Limits::quiet_NaN(),
+      -Limits::quiet_NaN(),
+      Limits::denorm_min(),
+      -Limits::denorm_min(),
+      Limits::min() / 3,
+      Limits::min(),
+      -Limits::min(),
+      Limits::max(),
+      Limits::lowest(),
+      Limits::epsilon(),
+      1.0,
+      -1.5,
+      0.1,
+      123456.0,
+      1234567.0,
+      999999.5,
+      1e-5,
+      0.0001,
+      1e100,
+      2.5e-300,
+  };
+  // Random mantissas over 600 binary exponents, both signs.
+  std::mt19937_64 rng(7);
+  std::uniform_real_distribution<double> mantissa(1.0, 2.0);
+  for (int exponent = -300; exponent < 300; ++exponent) {
+    for (int k = 0; k < 4; ++k) {
+      const double d = std::ldexp(mantissa(rng), exponent);
+      values.push_back(k % 2 == 0 ? d : -d);
+    }
+  }
+  // Random bit patterns: denormals, NaN payloads, every exponent.
+  for (int k = 0; k < 2000; ++k) {
+    const uint64_t bits = rng();
+    double d;
+    std::memcpy(&d, &bits, sizeof(d));
+    values.push_back(d);
+  }
+  for (double d : values) {
+    EXPECT_EQ(Value(d).ToString(), StreamFormatted(d)) << std::hexfloat << d;
+  }
+  EXPECT_EQ(Value(2.5).ToString(), "2.5");
+  EXPECT_EQ(Value(1e100).ToString(), "1e+100");
+  EXPECT_EQ(Value(-0.0).ToString(), "-0");
 }
 
 TEST(ValueTest, NumericCrossTypeComparison) {

@@ -7,9 +7,14 @@ The bench_* binaries emit, via their --json flag, one file each of the form
      "machine": {"nproc": 4, "compiler": "GCC 12.2.0", "build_type": "Release"},
      "results": [
       {"op": "BM_CloneDatabase/100", "ns_per_op": 123.4,
-       "iterations": 1000}, ...]}
+       "iterations": 1000, "repetitions": 5, "mad_ns": 2.1}, ...]}
 
 `machine` is optional (older files and bench_perf_server have none).
+Under --benchmark_repetitions a row's `ns_per_op` is the median of its
+repetitions and `mad_ns` their median absolute deviation; rows without
+those two fields (older files, the baseline) are one sample each. A file
+that lists one op in several rows is read the same way: its ns_per_op is
+the median of the rows, and its MAD is theirs.
 
 This tool has two subcommands:
 
@@ -19,8 +24,9 @@ This tool has two subcommands:
       BENCH_baseline.json.
 
   compare --baseline <baseline.json> [--threshold 0.25] <current.json...>
-      Diff each (benchmark, op) pair's ns_per_op against the baseline and
-      exit 1 when any op regressed by more than the threshold (default 25%).
+      Diff each (benchmark, op) pair's median ns_per_op against the
+      baseline, printing the current MAD beside it, and exit 1 when any op
+      regressed by more than the threshold (default 25%).
       An op present in the current run but missing from the baseline is an
       ERROR and also exits 1: new benchmarks must land with their baseline
       rows, otherwise the regression gate silently never covers them.
@@ -37,21 +43,39 @@ this script — the numbers are always printed either way).
 
 import argparse
 import json
+import statistics
 import sys
 
 
-def load_results(path):
-    """Returns {(benchmark, op): ns_per_op} from a per-binary result file or
-    a merged baseline (array of per-binary objects)."""
+def load_samples(path):
+    """Returns {(benchmark, op): (median ns_per_op, MAD or None)} from a
+    per-binary result file or a merged baseline (array of per-binary
+    objects). The MAD is None for an op given by one row without `mad_ns`."""
     with open(path) as f:
         data = json.load(f)
     groups = data if isinstance(data, list) else [data]
-    out = {}
+    rows = {}
     for group in groups:
         bench = group["benchmark"]
         for row in group["results"]:
-            out[(bench, row["op"])] = float(row["ns_per_op"])
+            rows.setdefault((bench, row["op"]), []).append(row)
+    out = {}
+    for key, repeated in rows.items():
+        if len(repeated) == 1:
+            row = repeated[0]
+            mad = row.get("mad_ns")
+            out[key] = (float(row["ns_per_op"]),
+                        None if mad is None else float(mad))
+        else:
+            values = [float(row["ns_per_op"]) for row in repeated]
+            mid = statistics.median(values)
+            out[key] = (mid, statistics.median([abs(v - mid) for v in values]))
     return out
+
+
+def load_results(path):
+    """Returns {(benchmark, op): median ns_per_op} (see load_samples)."""
+    return {key: ns for key, (ns, _) in load_samples(path).items()}
 
 
 def load_machines(path):
@@ -122,8 +146,11 @@ def compare(baseline_path, current_paths, threshold):
     check_machines(baseline_path, current_paths)
     baseline = load_results(baseline_path)
     current = {}
+    mads = {}
     for path in current_paths:
-        current.update(load_results(path))
+        for key, (ns, mad) in load_samples(path).items():
+            current[key] = ns
+            mads[key] = mad
 
     regressions = []
     unbaselined = []
@@ -150,11 +177,15 @@ def compare(baseline_path, current_paths, threshold):
             rows.append((bench, op, base, cur, delta))
 
     name_w = max(len(f"{b}/{o}") for b, o, *_ in rows) if rows else 0
+    print(f"{'op':<{name_w}}  {'baseline ns':>12}  {'current ns':>12}  "
+          f"{'MAD ns':>10}  verdict")
     for bench, op, base, cur, verdict in rows:
         name = f"{bench}/{op}"
         base_s = f"{base:12.1f}" if base is not None else " " * 12
         cur_s = f"{cur:12.1f}" if cur is not None else " " * 12
-        print(f"{name:<{name_w}}  {base_s}  {cur_s}  {verdict}")
+        mad = mads.get((bench, op))
+        mad_s = f"{mad:10.1f}" if mad is not None else f"{'-':>10}"
+        print(f"{name:<{name_w}}  {base_s}  {cur_s}  {mad_s}  {verdict}")
 
     failed = False
     if unbaselined:

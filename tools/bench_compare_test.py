@@ -231,6 +231,67 @@ class BenchCompareTest(unittest.TestCase):
         self.assertNotIn("machine", groups["bench_perf_molecule_ops"])
         self.assertEqual(bench_compare.load_machines(merged), [machine(4), None])
 
+    def test_repeated_rows_compare_their_median(self):
+        # One op listed in several rows, as repetitions that were not
+        # collapsed into one row: their median is compared, so a single
+        # slow outlier does not fail the gate, and their MAD is printed.
+        def repeated(samples):
+            return {
+                "benchmark": "bench_perf_clone",
+                "results": [
+                    {"op": "BM_Clone/100", "ns_per_op": ns, "iterations": 100}
+                    for ns in samples
+                ],
+            }
+
+        noisy = write_json(
+            self.dir, "noisy.json", repeated([1100.0, 5000.0, 1000.0, 1050.0, 900.0])
+        )
+        self.assertEqual(
+            bench_compare.load_samples(noisy),
+            {("bench_perf_clone", "BM_Clone/100"): (1050.0, 50.0)},
+        )
+        rc, out, _ = run_compare(self.baseline, [noisy])
+        self.assertEqual(rc, 0)
+        self.assertRegex(out, r"BM_Clone/100 +1000\.0 +1050\.0 +50\.0 +\+5\.0%")
+
+        slow = write_json(
+            self.dir, "slow.json", repeated([1000.0, 1400.0, 1500.0, 1600.0, 900.0])
+        )
+        rc, out, _ = run_compare(self.baseline, [slow])
+        self.assertEqual(rc, 1)
+        self.assertIn("+40.0%  REGRESSION", out)
+
+    def test_collapsed_row_reports_its_mad(self):
+        current = write_json(
+            self.dir,
+            "current.json",
+            {
+                "benchmark": "bench_perf_clone",
+                "results": [
+                    {
+                        "op": "BM_Clone/100",
+                        "ns_per_op": 1100.0,
+                        "iterations": 500,
+                        "repetitions": 5,
+                        "mad_ns": 12.5,
+                    }
+                ],
+            },
+        )
+        rc, out, _ = run_compare(self.baseline, [current])
+        self.assertEqual(rc, 0)
+        self.assertRegex(out, r"BM_Clone/100 +1000\.0 +1100\.0 +12\.5 +\+10\.0%")
+        # Rows without the fields still compare, with no MAD to print.
+        plain = write_json(
+            self.dir,
+            "plain.json",
+            result_file("bench_perf_clone", {"BM_Clone/100": 1100.0}),
+        )
+        rc, out, _ = run_compare(self.baseline, [plain])
+        self.assertEqual(rc, 0)
+        self.assertRegex(out, r"BM_Clone/100 +1000\.0 +1100\.0 +- +\+10\.0%")
+
     def test_cli_exit_codes(self):
         slow = write_json(
             self.dir,
