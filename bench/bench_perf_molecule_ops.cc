@@ -1,5 +1,7 @@
 // PERF-OPS: scaling of the molecule algebra operators Σ, Π, Ω, Δ, Ψ, X and
-// of the propagation function prop over scaled geographic networks.
+// of the propagation function prop over scaled geographic networks, plus
+// the two steps every SELECT result takes after them: the render and the
+// frame checksum.
 // Expected shape: Σ is linear in the molecule count times qualification
 // cost; Π is linear in retained atoms; the set operators are linear in the
 // canonical-key material; X is quadratic (|mv1|·|mv2|); prop is linear in
@@ -17,6 +19,9 @@
 #include "molecule/operations.h"
 #include "molecule/propagation.h"
 #include "mql/session.h"
+#include "text/printer.h"
+#include "util/crc32.h"
+#include "util/string_util.h"
 #include "workload/geo.h"
 
 namespace {
@@ -196,7 +201,7 @@ void BM_CartesianProductX(benchmark::State& state) {
   int run = 0;
   size_t pairs = 0;
   for (auto _ : state) {
-    std::string name = "x" + std::to_string(++run);
+    std::string name = mad::StrCat({"x", std::to_string(++run)});
     auto x = mad::CartesianProductMolecules(*f.db, *left, *right, name);
     if (!x.ok()) {
       state.SkipWithError(x.status().ToString().c_str());
@@ -296,6 +301,37 @@ void BM_SessionOneRootAfterSelectAll(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SessionOneRootAfterSelectAll)->Arg(100)->Arg(400);
+
+void BM_RenderMoleculeType(benchmark::State& state) {
+  // The server's render of a SELECT ALL over the map: the first 32
+  // molecules, Fig. 2 style, atoms read at the statement's view.
+  auto& f = OpsFixture::Get(state);
+  if (f.db == nullptr) return;
+  const mad::ReadView view{f.db->current_epoch(), 0};
+  size_t bytes = 0;
+  for (auto _ : state) {
+    std::string out;
+    mad::text::AppendMoleculeType(*f.db, *f.mt, 32, view, &out);
+    bytes = out.size();
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.counters["bytes"] = static_cast<double>(bytes);
+}
+BENCHMARK(BM_RenderMoleculeType)->Arg(100)->Arg(400);
+
+void BM_Crc32(benchmark::State& state) {
+  // One frame checksum: a PING-sized payload and a geo_scan RESULT.
+  std::string payload(static_cast<size_t>(state.range(0)), '\0');
+  for (size_t i = 0; i < payload.size(); ++i) {
+    payload[i] = static_cast<char>('a' + i % 26);
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(mad::Crc32(payload));
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          state.range(0));
+}
+BENCHMARK(BM_Crc32)->Arg(64)->Arg(24576);
 
 const bool kHeaderPrinted = [] {
   std::cout << "==== PERF-OPS: molecule algebra operator scaling (Σ Π Ω Δ Ψ "

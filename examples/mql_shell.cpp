@@ -33,20 +33,28 @@ void PrintResult(const mad::Database& db, const mad::mql::QueryResult& result,
     std::cout << mad::mql::RenderDiagnostics(result.diagnostics, source);
   }
   switch (result.kind) {
-    case Kind::kMolecules:
-      std::cout << mad::text::FormatMoleculeType(db, *result.molecules, 8);
+    case Kind::kMolecules: {
+      // Molecules print at the view the SELECT read at.
+      std::string text;
+      mad::text::AppendMoleculeType(db, *result.molecules, 8, result.view,
+                                    &text);
+      std::cout << text;
       break;
+    }
     case Kind::kRecursive: {
       std::cout << result.recursive.size() << " recursive molecule(s)\n";
-      size_t shown = 0;
-      for (const mad::RecursiveMolecule& m : result.recursive) {
-        if (++shown > 8) {
-          std::cout << "...\n";
+      const mad::text::AtomReader reader(
+          db, result.recursive_description.atom_type, result.view);
+      std::string text;
+      for (size_t i = 0; i < result.recursive.size(); ++i) {
+        if (i == 8) {
+          text += "...\n";
           break;
         }
-        std::cout << mad::text::FormatRecursiveMolecule(
-            db, result.recursive_description, m);
+        mad::text::AppendRecursiveMolecule(
+            reader, result.recursive_description, result.recursive[i], &text);
       }
+      std::cout << text;
       break;
     }
     case Kind::kCommand:

@@ -1,7 +1,7 @@
 #include "core/value.h"
 
+#include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <functional>
 
 namespace mad {
@@ -55,24 +55,38 @@ Result<double> Value::ToNumeric() const {
 }
 
 std::string Value::ToString() const {
+  std::string out;
+  AppendTo(&out);
+  return out;
+}
+
+void Value::AppendTo(std::string* out) const {
+  char buf[32];
   switch (type()) {
     case DataType::kNull:
-      return "NULL";
-    case DataType::kInt64:
-      return std::to_string(AsInt64());
+      *out += "NULL";
+      return;
+    case DataType::kInt64: {
+      const auto r = std::to_chars(buf, buf + sizeof(buf), AsInt64());
+      out->append(buf, r.ptr);
+      return;
+    }
     case DataType::kDouble: {
-      // The bytes `std::ostream << double` writes at its default flags and
-      // precision (%g, 6 digits), without building a stream per value.
-      char buf[32];
-      const int n = std::snprintf(buf, sizeof(buf), "%g", AsDouble());
-      return std::string(buf, static_cast<size_t>(n));
+      // %g: general format at 6 significant digits, byte for byte.
+      const auto r = std::to_chars(buf, buf + sizeof(buf), AsDouble(),
+                                   std::chars_format::general, 6);
+      out->append(buf, r.ptr);
+      return;
     }
     case DataType::kString:
-      return "'" + AsString() + "'";
+      *out += '\'';
+      *out += AsString();
+      *out += '\'';
+      return;
     case DataType::kBool:
-      return AsBool() ? "TRUE" : "FALSE";
+      *out += AsBool() ? "TRUE" : "FALSE";
+      return;
   }
-  return "NULL";
 }
 
 int Value::Compare(const Value& other) const {

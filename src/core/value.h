@@ -42,8 +42,12 @@ class Value {
   /// Numeric view: int64 and double both convert; anything else fails.
   Result<double> ToNumeric() const;
 
-  /// Display form: 1000, 3.5, 'SP', TRUE, NULL.
+  /// Display form: 1000, 3.5, 'SP', TRUE, NULL. Doubles print as
+  /// `printf("%g")` does: 6 significant digits, shortest of fixed and
+  /// scientific.
   std::string ToString() const;
+  /// Appends the display form to `out`; ToString and the printers share it.
+  void AppendTo(std::string* out) const;
 
   /// Total order across values. Values of different non-null types compare
   /// by type rank (int64 and double compare numerically with each other);

@@ -1,5 +1,7 @@
 #include "expr/expr.h"
 
+#include "util/string_util.h"
+
 namespace mad {
 namespace expr {
 
@@ -42,17 +44,17 @@ std::string Expr::ToString() const {
     case Kind::kAttrRef:
       return qualifier_.empty() ? attribute_ : qualifier_ + "." + attribute_;
     case Kind::kCompare:
-      return "(" + left_->ToString() + " " + CompareOpName(compare_op_) + " " +
-             right_->ToString() + ")";
+      return StrCat({"(", left_->ToString(), " ", CompareOpName(compare_op_),
+                     " ", right_->ToString(), ")"});
     case Kind::kArith:
-      return "(" + left_->ToString() + " " + ArithOpName(arith_op_) + " " +
-             right_->ToString() + ")";
+      return StrCat({"(", left_->ToString(), " ", ArithOpName(arith_op_), " ",
+                     right_->ToString(), ")"});
     case Kind::kAnd:
-      return "(" + left_->ToString() + " AND " + right_->ToString() + ")";
+      return StrCat({"(", left_->ToString(), " AND ", right_->ToString(), ")"});
     case Kind::kOr:
-      return "(" + left_->ToString() + " OR " + right_->ToString() + ")";
+      return StrCat({"(", left_->ToString(), " OR ", right_->ToString(), ")"});
     case Kind::kNot:
-      return "(NOT " + left_->ToString() + ")";
+      return StrCat({"(NOT ", left_->ToString(), ")"});
     case Kind::kCount:
       return "COUNT(" + qualifier_ + ")";
     case Kind::kForAll:

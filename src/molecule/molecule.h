@@ -54,6 +54,13 @@ class Molecule {
   const std::vector<MoleculeLink>& links() const { return links_; }
   void AddLink(MoleculeLink link) { links_.push_back(link); }
 
+  /// Π on one molecule, in place: node k becomes old node `kept_nodes[k]`
+  /// (ascending), and a link along old edge e stays, renumbered to
+  /// `edge_remap[e]`, unless that is kDroppedEdge.
+  static constexpr size_t kDroppedEdge = static_cast<size_t>(-1);
+  void Project(const std::vector<size_t>& kept_nodes,
+               const std::vector<size_t>& edge_remap);
+
   /// Order-insensitive fingerprint used for set semantics in Ω, Δ, Ψ and
   /// for dedup. Stable across molecules built in different atom orders.
   std::string CanonicalKey() const;

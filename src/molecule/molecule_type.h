@@ -29,6 +29,9 @@ class MoleculeType {
   const MoleculeDescription& description() const { return description_; }
   /// mv
   const std::vector<Molecule>& molecules() const { return molecules_; }
+  /// mv, moved out of a molecule type that is going away, so an operator
+  /// that owns its operand reuses the molecules instead of copying them.
+  std::vector<Molecule> TakeMolecules() && { return std::move(molecules_); }
 
   size_t size() const { return molecules_.size(); }
   bool empty() const { return molecules_.empty(); }

@@ -70,8 +70,7 @@ Result<MoleculeType> RestrictMolecules(const Database& db,
                       std::move(kept));
 }
 
-Result<MoleculeType> ProjectMolecules(const Database& db,
-                                      const MoleculeType& mt,
+Result<MoleculeType> ProjectMolecules(const Database& db, MoleculeType mt,
                                       const MoleculeProjectionSpec& spec,
                                       std::string result_name) {
   MAD_RETURN_IF_ERROR(CheckName(result_name));
@@ -149,29 +148,20 @@ Result<MoleculeType> ProjectMolecules(const Database& db,
         "projection must preserve the root node '" + md.root_label() + "'");
   }
 
-  // Remap edge indexes (result edge k corresponds to original
-  // old_edge_index[k]) for the molecule rewrite below.
-  std::map<size_t, size_t> edge_remap;
-  for (size_t k = 0; k < old_edge_index.size(); ++k) {
-    edge_remap[old_edge_index[k]] = k;
-  }
-
-  std::vector<Molecule> projected;
-  projected.reserve(mt.molecules().size());
-  for (const Molecule& m : mt.molecules()) {
-    Molecule out(m.root(), new_md->nodes().size());
-    for (size_t k = 0; k < old_node_index.size(); ++k) {
-      out.MutableAtomsOf(k) = m.AtomsOf(old_node_index[k]);
+  // Every node and edge kept: the molecules are already the projection's.
+  // Otherwise each one drops, in place, the atoms of dropped nodes and the
+  // links along dropped edges, and renumbers the rest.
+  std::vector<Molecule> molecules = std::move(mt).TakeMolecules();
+  if (old_node_index.size() < md.nodes().size() ||
+      old_edge_index.size() < md.links().size()) {
+    std::vector<size_t> edge_remap(md.links().size(), Molecule::kDroppedEdge);
+    for (size_t k = 0; k < old_edge_index.size(); ++k) {
+      edge_remap[old_edge_index[k]] = k;
     }
-    for (const MoleculeLink& link : m.links()) {
-      auto it = edge_remap.find(link.edge_index);
-      if (it == edge_remap.end()) continue;
-      out.AddLink(MoleculeLink{it->second, link.parent, link.child});
-    }
-    projected.push_back(std::move(out));
+    for (Molecule& m : molecules) m.Project(old_node_index, edge_remap);
   }
   return MoleculeType(std::move(result_name), *std::move(new_md),
-                      std::move(projected));
+                      std::move(molecules));
 }
 
 Result<MoleculeType> UnionMolecules(const MoleculeType& left,

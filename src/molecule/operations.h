@@ -35,9 +35,11 @@ struct MoleculeProjectionSpec {
 
 /// Molecule-type projection Π: restricts the description to a
 /// root-preserving coherent sub-DAG and optionally narrows the visible
-/// attributes per node. Atoms keep their identity.
-Result<MoleculeType> ProjectMolecules(const Database& db,
-                                      const MoleculeType& mt,
+/// attributes per node. Atoms keep their identity. The operand is taken by
+/// value and its molecules are moved into the result: when every node and
+/// edge survives only the description changes. Pass an expiring operand
+/// (std::move) to skip the copy.
+Result<MoleculeType> ProjectMolecules(const Database& db, MoleculeType mt,
                                       const MoleculeProjectionSpec& spec,
                                       std::string result_name);
 

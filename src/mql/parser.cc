@@ -484,9 +484,18 @@ class Parser {
         stmt.link_span = Peek().span;
         stmt.link_type = Advance().text;
       } else {
+        // A bare name may be hyphenated, as the geo link types are
+        // (state-area): identifiers joined by '-'.
+        const size_t mark = Mark();
         MAD_ASSIGN_OR_RETURN(Token link, ExpectIdentifierToken("link type"));
         stmt.link_type = std::move(link.text);
-        stmt.link_span = link.span;
+        while (Peek().kind == TokenKind::kDash &&
+               Peek(1).kind == TokenKind::kIdentifier) {
+          Advance();
+          stmt.link_type += '-';
+          stmt.link_type += Advance().text;
+        }
+        stmt.link_span = SpanSince(mark);
       }
       MAD_RETURN_IF_ERROR(Expect(TokenKind::kFrom));
       MAD_RETURN_IF_ERROR(Expect(TokenKind::kLParen));

@@ -25,14 +25,6 @@ namespace {
 /// names never collide across concurrently-live sessions.
 std::atomic<uint64_t> g_next_session_id{1};
 
-/// Head lookup, or version lookup when the head holds versions the view
-/// must not see (another transaction's pending writes).
-const Atom* FindAtView(const AtomStore& store, AtomId id,
-                       const ReadView& view) {
-  return store.HeadVisibleAt(view) ? store.Find(id)
-                                   : store.FindVersionAt(id, view);
-}
-
 /// Root ids the plan's seed fans the derivation out over, or nullopt for
 /// every root. Both seeds restore occurrence order, so seeded derivation
 /// stays bit-identical to the unseeded scan.
@@ -106,11 +98,11 @@ Result<std::vector<RecursiveMolecule>> RestrictClosures(
   std::vector<const Atom*> members;
   std::vector<RecursiveMolecule> kept;
   for (RecursiveMolecule& m : closures) {
-    const Atom* root = FindAtView(store, m.root(), view);
+    const Atom* root = store.FindAt(m.root(), view);
     members.clear();
     for (size_t d = 0; bind_members && d < m.levels().size(); ++d) {
       for (AtomId id : m.levels()[d]) {
-        members.push_back(FindAtView(store, id, view));
+        members.push_back(store.FindAt(id, view));
       }
     }
     const expr::CompiledPredicate::AtomSpan groups[2] = {
@@ -213,7 +205,8 @@ Result<QueryResult> Session::ExecutePlan(const SelectPlan& plan,
   MoleculeType mt(plan.name, *plan.description, std::move(molecules));
   if (plan.projection.has_value()) {
     MAD_ASSIGN_OR_RETURN(
-        mt, ProjectMolecules(*db_, mt, *plan.projection, plan.name));
+        mt,
+        ProjectMolecules(*db_, std::move(mt), *plan.projection, plan.name));
   }
   QueryResult result;
   result.epoch = view.epoch;
@@ -265,7 +258,10 @@ Session::Session(Database* db, SessionOptions options)
   if (options_.pin_snapshot) RefreshSnapshotPin();
 }
 
-Session::~Session() = default;  // txn_ rolls back via Transaction's dtor
+Session::~Session() {
+  ReleaseResultPins();
+  // txn_ rolls back via Transaction's dtor.
+}
 
 ReadView Session::CurrentView() const {
   if (txn_ != nullptr) return txn_->view();
@@ -276,6 +272,13 @@ ReadView Session::CurrentView() const {
 void Session::RefreshSnapshotPin() {
   ReaderLock read_lock(db_->mutex());
   snapshot_pin_ = db_->PinEpoch();
+}
+
+void Session::ReleaseResultPins() {
+  for (const std::weak_ptr<EpochPin>& held : result_pins_) {
+    if (std::shared_ptr<EpochPin> pin = held.lock()) pin->Release();
+  }
+  result_pins_.clear();
 }
 
 Status Session::RequireNoTransaction(const char* what) const {
@@ -423,8 +426,9 @@ Result<QueryResult> Session::RunSelect(const SelectStatement& stmt,
   // is the transaction's (snapshot + its own uncommitted writes).
   ReaderLock read_lock(db_->mutex());
   // The per-statement pin protects the no-transaction, no-session-pin case;
-  // CurrentView() then reads at exactly this pinned epoch.
-  EpochPin pin = db_->PinEpoch();
+  // CurrentView() then reads at exactly this pinned epoch. The result keeps
+  // the pin, so its render still finds the versions the view saw.
+  auto pin = std::make_shared<EpochPin>(db_->PinEpoch());
   const ReadView view = CurrentView();
   MAD_ASSIGN_OR_RETURN(SelectPlan plan,
                        PlanSelect(*db_, registry_, stmt, view));
@@ -434,6 +438,14 @@ Result<QueryResult> Session::RunSelect(const SelectStatement& stmt,
         RegisterMoleculeType(stmt.from.molecule_name, *plan.description));
   }
   MAD_ASSIGN_OR_RETURN(QueryResult result, ExecutePlan(plan, view));
+  result.view = view;
+  if (durable_ != nullptr) {
+    std::erase_if(result_pins_, [](const std::weak_ptr<EpochPin>& held) {
+      return held.expired();
+    });
+    result_pins_.push_back(pin);
+  }
+  result.pin = std::move(pin);
   select_span.set_rows_out(static_cast<int64_t>(
       result.molecules != nullptr ? result.molecules->size()
                                   : result.recursive.size()));
@@ -584,9 +596,7 @@ Result<QueryResult> Session::RunUpdate(UpdateStatement stmt) {
     }
 
     for (AtomId id : targets) {
-      const Atom* atom = at->occurrence().HeadVisibleAt(view)
-                             ? at->occurrence().Find(id)
-                             : at->occurrence().FindVersionAt(id, view);
+      const Atom* atom = at->occurrence().FindAt(id, view);
       if (atom == nullptr) continue;
       expr::BindingSet bindings;
       bindings.Bind(stmt.atom_type, &schema, atom);
@@ -724,9 +734,10 @@ Result<QueryResult> Session::RunOpen(OpenStatement stmt) {
                        DurableDatabase::Open(stmt.directory, options));
   // Swap the session over: molecule types registered against the previous
   // database describe structures that may not exist in the new one. The
-  // snapshot pin and the kept derivation snapshot reference the previous
-  // database and must go first.
+  // snapshot pin, the pins of earlier results and the kept derivation
+  // snapshot reference the previous database and must go first.
   snapshot_pin_.Release();
+  ReleaseResultPins();
   kept_snapshot_.reset();
   durable_ = std::move(durable);
   db_ = &durable_->database();

@@ -57,6 +57,14 @@ struct QueryResult {
   /// The database epoch a SELECT read at (its pinned snapshot), or the
   /// epoch a COMMIT published. 0 when the statement touched no epoch.
   uint64_t epoch = 0;
+  /// The view a SELECT read at; its molecules render at this view, so the
+  /// printed values are the ones its WHERE saw. nullopt for statements that
+  /// return no atoms (printers then read the head).
+  std::optional<ReadView> view;
+  /// The SELECT's epoch pin, shared by every copy of the result: versions
+  /// its view sees stay unreclaimed until the last copy is destroyed (or
+  /// the session drops the durable database the pin belongs to).
+  std::shared_ptr<const EpochPin> pin;
 };
 
 /// Execution tuning knobs.
@@ -181,6 +189,9 @@ class Session {
   /// With PIN SNAPSHOT on, (re-)pins the current epoch; the session's own
   /// writes call this so stable reads still observe them.
   void RefreshSnapshotPin();
+  /// Releases the pins of results still alive that were read from the
+  /// session-owned durable database, before it is closed.
+  void ReleaseResultPins();
 
   Database* db_;
   SessionOptions options_;
@@ -201,6 +212,10 @@ class Session {
   /// durable_ so it releases against a still-live database on destruction;
   /// RunOpen releases it by hand before swapping databases.
   EpochPin snapshot_pin_;
+  /// The pins of SELECT results read from durable_, tracked so that they
+  /// can be released before durable_ closes; empty while the session runs
+  /// on a database it does not own, whose owner outlives the results.
+  std::vector<std::weak_ptr<EpochPin>> result_pins_;
   /// At most one derivation snapshot kept across SELECTs (DESIGN.md §6).
   /// It is this session's alone and is read or replaced only while the
   /// session runs a SELECT under the reader lock, so it needs no lock of

@@ -78,6 +78,28 @@ struct SharedReport {
   LoadgenReport report MAD_GUARDED_BY(mu);
 };
 
+/// Where a mix statement stands in a transaction.
+enum class TxnRole { kNone, kBegin, kEnd };
+
+std::vector<TxnRole> TxnRoles(const std::vector<std::string>& mix) {
+  std::vector<TxnRole> roles;
+  roles.reserve(mix.size());
+  for (const std::string& text : mix) {
+    Result<mql::Statement> parsed = mql::ParseStatement(text);
+    TxnRole role = TxnRole::kNone;
+    if (parsed.ok()) {
+      if (std::holds_alternative<mql::BeginStatement>(*parsed)) {
+        role = TxnRole::kBegin;
+      } else if (std::holds_alternative<mql::CommitStatement>(*parsed) ||
+                 std::holds_alternative<mql::RollbackStatement>(*parsed)) {
+        role = TxnRole::kEnd;
+      }
+    }
+    roles.push_back(role);
+  }
+  return roles;
+}
+
 }  // namespace
 
 Result<LoadgenScript> SplitWorkloadScript(const std::string& text) {
@@ -142,6 +164,9 @@ Result<LoadgenReport> RunLoadgen(const LoadgenOptions& options,
     MAD_RETURN_IF_ERROR(setup_client.Close());
   }
 
+  const std::vector<TxnRole> roles = TxnRoles(script.mix);
+  static const std::string kRollback = "ROLLBACK;";
+
   // Per-connection pacing interval for the aggregate target rate.
   const double interval_us =
       options.target_qps > 0
@@ -169,6 +194,11 @@ Result<LoadgenReport> RunLoadgen(const LoadgenOptions& options,
       LoadgenReport local;
       uint64_t attempts = 0;
       size_t mix_index = 0;
+      // A statement that fails inside BEGIN..COMMIT rolls the transaction
+      // back instead of committing what came before it: the next statement
+      // sent is a ROLLBACK, and the mix resumes after the transaction.
+      bool in_txn = false;
+      bool rollback_due = false;
       while (true) {
         if (options.duration_ms > 0) {
           if (Clock::now() >= deadline) break;
@@ -183,8 +213,11 @@ Result<LoadgenReport> RunLoadgen(const LoadgenOptions& options,
                           interval_us * static_cast<double>(attempts)));
           std::this_thread::sleep_until(due);
         }
-        const std::string& statement = script.mix[mix_index];
-        mix_index = (mix_index + 1) % script.mix.size();
+        const std::string& statement =
+            rollback_due ? kRollback : script.mix[mix_index];
+        const TxnRole role = rollback_due ? TxnRole::kEnd : roles[mix_index];
+        if (!rollback_due) mix_index = (mix_index + 1) % script.mix.size();
+        rollback_due = false;
         ++attempts;
 
         Clock::time_point t0 = Clock::now();
@@ -221,6 +254,20 @@ Result<LoadgenReport> RunLoadgen(const LoadgenOptions& options,
           default:
             ++local.protocol_errors;
             break;
+        }
+        if (role == TxnRole::kBegin) {
+          in_txn = reply->type == MessageType::kResult;
+        } else if (role == TxnRole::kEnd) {
+          in_txn = false;
+        } else if (in_txn && reply->type == MessageType::kError) {
+          in_txn = false;
+          rollback_due = true;
+          // Skip the rest of the transaction, its COMMIT included.
+          for (size_t skipped = 0; skipped < script.mix.size(); ++skipped) {
+            const TxnRole next = roles[mix_index];
+            mix_index = (mix_index + 1) % script.mix.size();
+            if (next == TxnRole::kEnd) break;
+          }
         }
         if (!client.connected()) break;
       }

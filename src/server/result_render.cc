@@ -19,19 +19,21 @@ std::string RenderQueryResult(const Database& db,
   }
   switch (result.kind) {
     case Kind::kMolecules:
-      body += text::FormatMoleculeType(db, *result.molecules, max_items);
+      text::AppendMoleculeType(db, *result.molecules, max_items, result.view,
+                               &body);
       break;
     case Kind::kRecursive: {
       body += std::to_string(result.recursive.size()) +
               " recursive molecule(s)\n";
-      size_t shown = 0;
+      const text::AtomReader reader(
+          db, result.recursive_description.atom_type, result.view);
       for (size_t i = 0; i < result.recursive.size(); ++i) {
-        if (++shown > max_items) {
+        if (i == max_items) {
           body += "...\n";
           break;
         }
-        body += text::FormatRecursiveMolecule(db, result.recursive_description,
-                                              result.recursive[i]);
+        text::AppendRecursiveMolecule(reader, result.recursive_description,
+                                      result.recursive[i], &body);
         if (i < result.recursive_components.size()) {
           body += "  " +
                   std::to_string(result.recursive_components[i].size()) +

@@ -16,11 +16,18 @@ namespace server {
 /// statements) share this one function, so "bit-identical results" is a
 /// byte comparison of its output.
 ///
-/// `db` must be the session's *current* database (Session::database() —
-/// after OPEN it differs from the construction-time one). Caller-locks
-/// contract: when writers may run concurrently, hold at least a shared
-/// lock on db.mutex() — molecule bodies are rendered by reading atom
-/// values back from the store.
+/// Molecule bodies are rendered by reading atom values back from the
+/// stores, at the view the SELECT read at (QueryResult::view), so a row
+/// shows the values its WHERE matched, not later or uncommitted writes of
+/// other sessions. The contract:
+/// - `db` is the session's *current* database (Session::database() —
+///   after OPEN it differs from the construction-time one);
+/// - render before the session runs its next statement: the result's own
+///   pin keeps the versions of its view, but a view inside a transaction
+///   or under SET PIN SNAPSHOT is the session's, and changes with it;
+/// - when writers may run concurrently, hold at least a shared lock on
+///   db.mutex(): it keeps DDL from dropping a store mid-render and writers
+///   from growing the head vectors being read.
 std::string RenderQueryResult(const Database& db,
                               const mql::QueryResult& result,
                               size_t max_items = 32);

@@ -455,8 +455,9 @@ Message MadServer::RunStatement(const std::shared_ptr<Connection>& conn,
   response.epoch = result->epoch;
   response.affected = result->affected;
   {
-    // Rendering reads atom values back from the store; take the shared
-    // lock because other connections may be writing concurrently.
+    // Rendering reads atom values back from the stores, at the result's
+    // view; the shared lock keeps other connections' DDL and writes off the
+    // stores while it does.
     Database& db = conn->session->database();
     ReaderLock lock(db.mutex());
     response.text = RenderQueryResult(db, *result);

@@ -112,6 +112,12 @@ class AtomStore {
   /// the archive. Pointer invalidated by mutation of this store.
   const Atom* FindVersionAt(AtomId id, const ReadView& view) const;
 
+  /// The version of `id` visible at `view`: the head lookup while the head
+  /// is the snapshot (HeadVisibleAt), the version lookup otherwise.
+  const Atom* FindAt(AtomId id, const ReadView& view) const {
+    return HeadVisibleAt(view) ? Find(id) : FindVersionAt(id, view);
+  }
+
   bool ContainsAt(AtomId id, const ReadView& view) const {
     return FindVersionAt(id, view) != nullptr;
   }

@@ -71,7 +71,7 @@ std::string EncodeValue(const Value& v) {
     case DataType::kNull:
       return "N";
     case DataType::kInt64:
-      return "I" + std::to_string(v.AsInt64());
+      return StrCat({"I", std::to_string(v.AsInt64())});
     case DataType::kDouble: {
       double d = v.AsDouble();
       // Non-finite values get explicit spellings — the default ostream
@@ -82,10 +82,10 @@ std::string EncodeValue(const Value& v) {
       std::ostringstream os;
       os.precision(17);
       os << d;
-      return "D" + os.str();
+      return StrCat({"D", os.str()});
     }
     case DataType::kString:
-      return "S" + PercentEncode(v.AsString());
+      return StrCat({"S", PercentEncode(v.AsString())});
     case DataType::kBool:
       return v.AsBool() ? "B1" : "B0";
   }

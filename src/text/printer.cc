@@ -1,6 +1,7 @@
 #include "text/printer.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 
 namespace mad {
@@ -8,25 +9,111 @@ namespace text {
 
 namespace {
 
-std::string AtomBody(const Atom& atom) {
-  std::string out = "<";
-  for (size_t i = 0; i < atom.values.size(); ++i) {
-    if (i > 0) out += ", ";
-    out += atom.values[i].ToString();
+void AppendUint(uint64_t n, std::string* out) {
+  char buf[20];
+  const auto r = std::to_chars(buf, buf + sizeof(buf), n);
+  out->append(buf, r.ptr);
+}
+
+/// Indents every line that starts after `from` by `indent` spaces.
+void IndentNewlines(size_t from, size_t indent, std::string* out) {
+  for (size_t pos = out->find('\n', from); pos != std::string::npos;
+       pos = out->find('\n', pos + 1 + indent)) {
+    out->insert(pos + 1, indent, ' ');
   }
-  out += ">";
-  return out;
+}
+
+/// "<v1, v2, ...>". Inside a molecule-type listing every line of a molecule
+/// is indented by `indent`, and so is a line break inside a string value.
+void AppendAtomBody(const Atom& atom, size_t indent, std::string* out) {
+  *out += '<';
+  for (size_t i = 0; i < atom.values.size(); ++i) {
+    if (i > 0) *out += ", ";
+    const size_t start = out->size();
+    atom.values[i].AppendTo(out);
+    if (indent > 0 && atom.values[i].type() == DataType::kString) {
+      IndentNewlines(start, indent, out);
+    }
+  }
+  *out += '>';
+}
+
+/// Fig. 2's body of one molecule, every line indented by `indent`.
+/// `readers[i]` reads node i's atoms; `root` is the root node's index.
+void AppendMolecule(const MoleculeDescription& md,
+                    const std::vector<AtomReader>& readers, size_t root,
+                    const Molecule& molecule, size_t indent,
+                    std::string* out) {
+  out->append(indent, ' ');
+  *out += "molecule(root=";
+  readers[root].Append(molecule.root(), out, indent);
+  *out += ")\n";
+  for (size_t i = 0; i < md.nodes().size(); ++i) {
+    out->append(indent + 2, ' ');
+    *out += md.nodes()[i].label;
+    *out += ": {";
+    const std::vector<AtomId>& atoms = molecule.AtomsOf(i);
+    for (size_t j = 0; j < atoms.size(); ++j) {
+      if (j > 0) *out += ", ";
+      readers[i].Append(atoms[j], out, indent);
+    }
+    *out += "}\n";
+  }
+  out->append(indent + 2, ' ');
+  *out += "links: {";
+  for (size_t j = 0; j < molecule.links().size(); ++j) {
+    if (j > 0) *out += ", ";
+    const MoleculeLink& link = molecule.links()[j];
+    *out += "<#";
+    AppendUint(link.parent.value, out);
+    *out += ", #";
+    AppendUint(link.child.value, out);
+    *out += '>';
+  }
+  *out += "}\n";
+}
+
+std::vector<AtomReader> NodeReaders(const Database& db,
+                                    const MoleculeDescription& md,
+                                    const std::optional<ReadView>& view) {
+  std::vector<AtomReader> readers;
+  readers.reserve(md.nodes().size());
+  for (const MoleculeNode& node : md.nodes()) {
+    readers.emplace_back(db, node.type_name, view);
+  }
+  return readers;
 }
 
 }  // namespace
 
+AtomReader::AtomReader(const Database& db, const std::string& type_name,
+                       const std::optional<ReadView>& view)
+    : view_(view) {
+  auto at = db.GetAtomType(type_name);
+  if (at.ok()) store_ = &(*at)->occurrence();
+}
+
+void AtomReader::Append(AtomId id, std::string* out, size_t indent) const {
+  if (store_ == nullptr) {
+    *out += "<?>";
+    return;
+  }
+  const Atom* atom =
+      view_.has_value() ? store_->FindAt(id, *view_) : store_->Find(id);
+  if (atom == nullptr) {
+    *out += "<#";
+    AppendUint(id.value, out);
+    *out += "?>";
+    return;
+  }
+  AppendAtomBody(*atom, indent, out);
+}
+
 std::string FormatAtom(const Database& db, const std::string& type_name,
                        AtomId id) {
-  auto at = db.GetAtomType(type_name);
-  if (!at.ok()) return "<?>";
-  const Atom* atom = (*at)->occurrence().Find(id);
-  if (atom == nullptr) return "<#" + std::to_string(id.value) + "?>";
-  return AtomBody(*atom);
+  std::string out;
+  AtomReader(db, type_name, std::nullopt).Append(id, &out);
+  return out;
 }
 
 std::string FormatDatabaseSpec(const Database& db, size_t max_items) {
@@ -38,7 +125,7 @@ std::string FormatDatabaseSpec(const Database& db, size_t max_items) {
     const auto& atoms = at->occurrence().atoms();
     for (size_t i = 0; i < atoms.size() && i < max_items; ++i) {
       if (i > 0) out += ", ";
-      out += AtomBody(atoms[i]);
+      AppendAtomBody(atoms[i], 0, &out);
     }
     if (atoms.size() > max_items) out += ", ...";
     out += "}> in AT*\n";
@@ -108,65 +195,68 @@ std::string FormatErDiagram(const er::ErSchema& er) {
 
 std::string FormatMolecule(const Database& db, const MoleculeDescription& md,
                            const Molecule& molecule) {
-  std::string out = "molecule(root=" + FormatAtom(
-      db, md.root_node().type_name, molecule.root()) + ")\n";
-  for (size_t i = 0; i < md.nodes().size(); ++i) {
-    const MoleculeNode& node = md.nodes()[i];
-    out += "  " + node.label + ": {";
-    const auto& atoms = molecule.AtomsOf(i);
-    for (size_t j = 0; j < atoms.size(); ++j) {
-      if (j > 0) out += ", ";
-      out += FormatAtom(db, node.type_name, atoms[j]);
-    }
-    out += "}\n";
-  }
-  out += "  links: {";
-  for (size_t j = 0; j < molecule.links().size(); ++j) {
-    if (j > 0) out += ", ";
-    const MoleculeLink& link = molecule.links()[j];
-    out += "<#" + std::to_string(link.parent.value) + ", #" +
-           std::to_string(link.child.value) + ">";
-  }
-  out += "}\n";
+  std::string out;
+  AppendMolecule(md, NodeReaders(db, md, std::nullopt),
+                 *md.NodeIndex(md.root_label()), molecule, 0, &out);
   return out;
+}
+
+void AppendMoleculeType(const Database& db, const MoleculeType& mt,
+                        size_t max_molecules,
+                        const std::optional<ReadView>& view,
+                        std::string* out) {
+  const MoleculeDescription& md = mt.description();
+  *out += "molecule type '";
+  *out += mt.name();
+  *out += "'\n  structure: ";
+  *out += md.ToString();
+  *out += "\n  molecule set (";
+  AppendUint(mt.size(), out);
+  *out += " molecules):\n";
+  const std::vector<AtomReader> readers = NodeReaders(db, md, view);
+  const size_t root = *md.NodeIndex(md.root_label());
+  for (size_t i = 0; i < mt.size() && i < max_molecules; ++i) {
+    AppendMolecule(md, readers, root, mt.molecules()[i], 4, out);
+  }
+  if (mt.size() > max_molecules) *out += "    ...\n";
 }
 
 std::string FormatMoleculeType(const Database& db, const MoleculeType& mt,
                                size_t max_molecules) {
-  std::string out = "molecule type '" + mt.name() + "'\n";
-  out += "  structure: " + mt.description().ToString() + "\n";
-  out += "  molecule set (" + std::to_string(mt.size()) + " molecules):\n";
-  for (size_t i = 0; i < mt.molecules().size() && i < max_molecules; ++i) {
-    std::string body = FormatMolecule(db, mt.description(), mt.molecules()[i]);
-    // Indent the molecule block.
-    out += "    ";
-    for (char c : body) {
-      out += c;
-      if (c == '\n') out += "    ";
-    }
-    // Trim the dangling indent after the final newline.
-    while (!out.empty() && out.back() == ' ') out.pop_back();
-  }
-  if (mt.size() > max_molecules) out += "    ...\n";
+  std::string out;
+  AppendMoleculeType(db, mt, max_molecules, std::nullopt, &out);
   return out;
+}
+
+void AppendRecursiveMolecule(const AtomReader& reader,
+                             const RecursiveDescription& rd,
+                             const RecursiveMolecule& molecule,
+                             std::string* out) {
+  *out += "recursive molecule over ";
+  *out += rd.atom_type;
+  *out += "-[";
+  *out += rd.link_type;
+  if (rd.direction == LinkDirection::kBackward) *out += '~';
+  *out += "*]\n";
+  for (size_t level = 0; level < molecule.levels().size(); ++level) {
+    *out += "  level ";
+    AppendUint(level, out);
+    *out += ": {";
+    const std::vector<AtomId>& atoms = molecule.levels()[level];
+    for (size_t i = 0; i < atoms.size(); ++i) {
+      if (i > 0) *out += ", ";
+      reader.Append(atoms[i], out);
+    }
+    *out += "}\n";
+  }
 }
 
 std::string FormatRecursiveMolecule(const Database& db,
                                     const RecursiveDescription& rd,
                                     const RecursiveMolecule& molecule) {
-  std::string out = "recursive molecule over " + rd.atom_type + "-[" +
-                    rd.link_type +
-                    (rd.direction == LinkDirection::kBackward ? "~" : "") +
-                    "*]\n";
-  for (size_t level = 0; level < molecule.levels().size(); ++level) {
-    out += "  level " + std::to_string(level) + ": {";
-    const auto& atoms = molecule.levels()[level];
-    for (size_t i = 0; i < atoms.size(); ++i) {
-      if (i > 0) out += ", ";
-      out += FormatAtom(db, rd.atom_type, atoms[i]);
-    }
-    out += "}\n";
-  }
+  std::string out;
+  AppendRecursiveMolecule(AtomReader(db, rd.atom_type, std::nullopt), rd,
+                          molecule, &out);
   return out;
 }
 

@@ -1,6 +1,7 @@
 #ifndef MAD_TEXT_PRINTER_H_
 #define MAD_TEXT_PRINTER_H_
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -29,21 +30,57 @@ std::string FormatMadDiagram(const Database& db);
 /// Fig. 1 (upper part) style: the ER diagram with cardinalities.
 std::string FormatErDiagram(const er::ErSchema& er);
 
-/// One atom as "<SP, 1000>".
+/// Reads the atoms of one atom type for rendering. The store is resolved
+/// once, at construction; each atom is then read at `view` when one is
+/// given (AtomStore::FindAt) and at the head otherwise. A SELECT's result
+/// renders at the view it read at (mql::QueryResult::view), so the values
+/// printed are the ones its WHERE saw; other callers read the head. The
+/// caller holds at least a shared lock on db.mutex() while it renders,
+/// when writers may run concurrently.
+class AtomReader {
+ public:
+  AtomReader(const Database& db, const std::string& type_name,
+             const std::optional<ReadView>& view);
+
+  /// Appends the atom as "<'SP', 1000>" — "<#id?>" when no version of it is
+  /// visible, "<?>" for an unknown atom type. Line breaks inside string
+  /// values are followed by `indent` spaces, matching a listing indented
+  /// by that much.
+  void Append(AtomId id, std::string* out, size_t indent = 0) const;
+
+ private:
+  const AtomStore* store_ = nullptr;
+  std::optional<ReadView> view_;
+};
+
+/// One atom as "<SP, 1000>", read at the head.
 std::string FormatAtom(const Database& db, const std::string& type_name,
                        AtomId id);
 
 /// Fig. 2 style: one molecule — per description node the atoms, then the
-/// component links.
+/// component links. Reads the head.
 std::string FormatMolecule(const Database& db, const MoleculeDescription& md,
                            const Molecule& molecule);
 
 /// Fig. 2 style: a molecule type — structure line plus up to
-/// `max_molecules` molecules of the set.
+/// `max_molecules` molecules of the set, each indented by four spaces —
+/// appended to `out`, with atoms read at `view` (see AtomReader).
+void AppendMoleculeType(const Database& db, const MoleculeType& mt,
+                        size_t max_molecules,
+                        const std::optional<ReadView>& view, std::string* out);
+
+/// AppendMoleculeType at the head.
 std::string FormatMoleculeType(const Database& db, const MoleculeType& mt,
                                size_t max_molecules = 4);
 
-/// A recursive molecule as an indented component tree (levels).
+/// A recursive molecule as an indented component tree (levels), appended
+/// to `out`; `reader` reads rd.atom_type.
+void AppendRecursiveMolecule(const AtomReader& reader,
+                             const RecursiveDescription& rd,
+                             const RecursiveMolecule& molecule,
+                             std::string* out);
+
+/// AppendRecursiveMolecule at the head.
 std::string FormatRecursiveMolecule(const Database& db,
                                     const RecursiveDescription& rd,
                                     const RecursiveMolecule& molecule);

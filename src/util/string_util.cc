@@ -15,6 +15,15 @@ std::string Join(const std::vector<std::string>& parts, std::string_view sep) {
   return out;
 }
 
+std::string StrCat(std::initializer_list<std::string_view> parts) {
+  size_t size = 0;
+  for (std::string_view part : parts) size += part.size();
+  std::string out;
+  out.reserve(size);
+  for (std::string_view part : parts) out.append(part);
+  return out;
+}
+
 std::vector<std::string> Split(std::string_view text, char sep) {
   std::vector<std::string> out;
   size_t start = 0;

@@ -3,6 +3,8 @@
 #include <random>
 #include <vector>
 
+#include "util/string_util.h"
+
 namespace mad {
 namespace workload {
 
@@ -76,8 +78,8 @@ Result<BomStats> GenerateBom(Database& db, const BomScale& scale) {
         if (!next.empty() && unit(rng) < scale.share_fraction) {
           child = next[rng() % next.size()];  // shared sub-part
         } else {
-          std::string name = "p" + std::to_string(d) + "_" +
-                             std::to_string(next.size() + 1);
+          std::string name = StrCat({"p", std::to_string(d), "_",
+                                     std::to_string(next.size() + 1)});
           MAD_ASSIGN_OR_RETURN(
               child,
               db.InsertAtom("part",

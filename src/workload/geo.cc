@@ -3,6 +3,8 @@
 #include <random>
 #include <vector>
 
+#include "util/string_util.h"
+
 namespace mad {
 namespace workload {
 
@@ -92,7 +94,7 @@ Result<GeoIds> BuildFigure4GeoDatabase(Database& db) {
   const char* kAreaOwner[] = {"BA", "GO", "MS", "MG", "ES",
                               "RJ", "SP", "PR", "SC", "RS"};
   for (int i = 0; i < 10; ++i) {
-    std::string aname = "a" + std::to_string(i + 1);
+    std::string aname = StrCat({"a", std::to_string(i + 1)});
     MAD_ASSIGN_OR_RETURN(
         AtomId id,
         db.InsertAtom("area", {Value(aname), Value(kStates[i].hectare)}));
@@ -102,7 +104,7 @@ Result<GeoIds> BuildFigure4GeoDatabase(Database& db) {
   }
   const char* kNetOwner[] = {"Parana", "Amazonas", "Uruguai"};
   for (int i = 0; i < 3; ++i) {
-    std::string nname = "n" + std::to_string(i + 1);
+    std::string nname = StrCat({"n", std::to_string(i + 1)});
     MAD_ASSIGN_OR_RETURN(AtomId id, db.InsertAtom("net", {Value(nname)}));
     ids.nets[nname] = id;
     MAD_RETURN_IF_ERROR(db.InsertLink("river-net", ids.rivers[kNetOwner[i]], id));
@@ -110,14 +112,14 @@ Result<GeoIds> BuildFigure4GeoDatabase(Database& db) {
 
   // Edges e1..e12.
   for (int i = 1; i <= 12; ++i) {
-    std::string ename = "e" + std::to_string(i);
+    std::string ename = StrCat({"e", std::to_string(i)});
     MAD_ASSIGN_OR_RETURN(AtomId id, db.InsertAtom("edge", {Value(ename)}));
     ids.edges[ename] = id;
   }
 
   // Points: p1 is the paper's 'pn'; p2..p12 follow.
   for (int i = 1; i <= 12; ++i) {
-    std::string pname = i == 1 ? "pn" : "p" + std::to_string(i);
+    std::string pname = i == 1 ? "pn" : StrCat({"p", std::to_string(i)});
     MAD_ASSIGN_OR_RETURN(
         AtomId id, db.InsertAtom("point", {Value(pname), Value(i * 1.0),
                                            Value(i * 2.0)}));

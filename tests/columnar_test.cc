@@ -15,6 +15,7 @@
 #include "molecule/derivation.h"
 #include "storage/atom_store.h"
 #include "storage/database.h"
+#include "util/string_util.h"
 #include "workload/geo.h"
 
 namespace mad {
@@ -321,7 +322,7 @@ TEST(ColumnarChurnTest, GeoWorkloadStaysBitIdenticalUnderChurn) {
       ASSERT_TRUE(db.UpdateAtom("point", victim.id, next).ok());
     } else {
       ASSERT_TRUE(db.InsertAtom("point",
-                                {Value("p" + std::to_string(1000 + step)),
+                                {Value(StrCat({"p", std::to_string(1000 + step)})),
                                  Value(static_cast<double>(step)),
                                  Value(static_cast<double>(step))})
                       .ok());

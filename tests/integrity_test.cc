@@ -8,6 +8,7 @@
 #include <random>
 
 #include "molecule/derivation.h"
+#include "util/string_util.h"
 #include "workload/geo.h"
 
 namespace mad {
@@ -60,16 +61,16 @@ TEST_P(IntegrityFuzzTest, RandomMutationsPreserveInvariants) {
              at->description().attributes()) {
           switch (attr.type) {
             case DataType::kString:
-              values.push_back(Value("f" + std::to_string(rng_() % 1000)));
+              values.emplace_back(StrCat({"f", std::to_string(rng_() % 1000)}));
               break;
             case DataType::kInt64:
-              values.push_back(Value(static_cast<int64_t>(rng_() % 2000)));
+              values.emplace_back(static_cast<int64_t>(rng_() % 2000));
               break;
             case DataType::kDouble:
-              values.push_back(Value(static_cast<double>(rng_() % 1000)));
+              values.emplace_back(static_cast<double>(rng_() % 1000));
               break;
             default:
-              values.push_back(Value(true));
+              values.emplace_back(true);
           }
         }
         ASSERT_TRUE(db_->InsertAtom(aname, std::move(values)).ok());
@@ -95,7 +96,7 @@ TEST_P(IntegrityFuzzTest, RandomMutationsPreserveInvariants) {
         AtomId id = RandomAtomOf("state");
         if (!id.valid()) break;
         ASSERT_TRUE(db_->UpdateAtom("state", id,
-                                    {Value("u" + std::to_string(step)),
+                                    {Value(StrCat({"u", std::to_string(step)})),
                                      Value(static_cast<int64_t>(rng_() % 2000))})
                         .ok());
         break;

@@ -7,6 +7,7 @@
 #include <memory>
 #include <string>
 
+#include "mql/session.h"
 #include "server/loadgen.h"
 #include "server/server.h"
 #include "storage/database.h"
@@ -85,6 +86,40 @@ TEST(LoadgenRunTest, ReplaysAMixOverManyConnections) {
   EXPECT_EQ(report->latency_us.size(), 40u);
   EXPECT_GT(report->PercentileUs(0.99), 0u);
   server.Shutdown();
+}
+
+TEST(LoadgenRunTest, AFailedStatementInATransactionRollsItBack) {
+  Database db("LOADGEN_DB");
+  MadServer server(&db, ServerOptions{});
+  ASSERT_TRUE(server.Start().ok());
+
+  // The second UPDATE always fails, so no transaction may commit the first.
+  auto script = SplitWorkloadScript(
+      "CREATE ATOM TYPE t (name STRING, v INT64);"
+      "INSERT INTO t VALUES ('a', 0);"
+      "BEGIN;"
+      "UPDATE t SET v = v + 1 WHERE name = 'a';"
+      "UPDATE missing SET v = 1;"
+      "COMMIT;");
+  ASSERT_TRUE(script.ok()) << script.status();
+
+  LoadgenOptions options;
+  options.port = server.port();
+  options.connections = 1;
+  options.statements_per_connection = 8;
+  auto report = RunLoadgen(options, *script);
+  ASSERT_TRUE(report.ok()) << report.status();
+  // Twice: BEGIN, UPDATE, the failing UPDATE, then ROLLBACK, not COMMIT.
+  EXPECT_EQ(report->ok, 6u);
+  EXPECT_EQ(report->errors, 2u);
+  EXPECT_EQ(report->protocol_errors, 0u);
+  server.Shutdown();
+
+  mql::Session local(&db);
+  auto committed = local.Execute("SELECT ALL FROM t WHERE t.v = 0;");
+  ASSERT_TRUE(committed.ok()) << committed.status();
+  EXPECT_EQ(committed->molecules->size(), 1u);
+  EXPECT_EQ(db.GetEpochStats().active_transactions, 0u);
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include "algebra/atom_algebra.h"
 #include "expr/expr.h"
 #include "molecule/description.h"
+#include "util/string_util.h"
 #include "workload/geo.h"
 
 namespace mad {
@@ -360,10 +361,10 @@ TEST_F(MoleculeTest, ForRootsReportsEveryInvalidRootAtOnce) {
   Status status = result.status();
   EXPECT_EQ(status.code(), StatusCode::kNotFound);
   std::string message = status.message();
-  EXPECT_NE(message.find("#" + std::to_string(wrong_type.value)),
+  EXPECT_NE(message.find(StrCat({"#", std::to_string(wrong_type.value)})),
             std::string::npos)
       << message;
-  EXPECT_NE(message.find("#" + std::to_string(unknown.value)),
+  EXPECT_NE(message.find(StrCat({"#", std::to_string(unknown.value)})),
             std::string::npos)
       << message;
   EXPECT_NE(message.find("state"), std::string::npos) << message;

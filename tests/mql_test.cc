@@ -8,6 +8,7 @@
 #include "algebra/atom_algebra.h"
 #include "mql/lexer.h"
 #include "mql/parser.h"
+#include "util/string_util.h"
 #include "workload/bom.h"
 #include "workload/geo.h"
 
@@ -168,6 +169,28 @@ TEST(MqlParserTest, DdlAndDml) {
   EXPECT_NE(std::get<DeleteStatement>(*del).predicate, nullptr);
 }
 
+TEST(MqlParserTest, InsertLinkTakesABareHyphenatedLinkType) {
+  const std::string text =
+      "INSERT LINK state-area FROM (name = 'SP') TO (name = 'a7');";
+  auto bare = ParseStatement(text);
+  ASSERT_TRUE(bare.ok()) << bare.status();
+  const auto& il = std::get<InsertLinkStatement>(*bare);
+  EXPECT_EQ(il.link_type, "state-area");
+  EXPECT_EQ(text.substr(il.link_span.offset, il.link_span.length),
+            "state-area");
+  auto bracketed = ParseStatement(
+      "INSERT LINK [state-area] FROM (name = 'SP') TO (name = 'a7');");
+  ASSERT_TRUE(bracketed.ok()) << bracketed.status();
+  EXPECT_EQ(std::get<InsertLinkStatement>(*bracketed).link_type,
+            "state-area");
+  EXPECT_EQ(std::get<InsertLinkStatement>(
+                *ParseStatement("INSERT LINK a-b-c FROM (x = 1) TO (y = 2);"))
+                .link_type,
+            "a-b-c");
+  EXPECT_FALSE(
+      ParseStatement("INSERT LINK state- FROM (name = 'SP') TO (x = 1);").ok());
+}
+
 TEST(MqlParserTest, NegativeNumbersAndPrecedence) {
   auto stmt = ParseStatement(
       "SELECT ALL FROM state WHERE hectare + 2 * 3 > -1 AND NOT name = 'x' "
@@ -225,6 +248,20 @@ class MqlSessionTest : public ::testing::Test {
   workload::GeoIds ids_;
   std::unique_ptr<Session> session_;
 };
+
+TEST_F(MqlSessionTest, InsertLinkWithAHyphenatedLinkType) {
+  ASSERT_TRUE(session_->Execute("INSERT INTO state VALUES ('XX', 5);").ok());
+  ASSERT_TRUE(session_->Execute("INSERT INTO area VALUES ('aX', 5);").ok());
+  auto inserted = session_->Execute(
+      "INSERT LINK state-area FROM (name = 'XX') TO (name = 'aX');");
+  ASSERT_TRUE(inserted.ok()) << inserted.status();
+  EXPECT_EQ(inserted->affected, 1u);
+  auto selected =
+      session_->Execute("SELECT ALL FROM state-area WHERE state.name = 'XX';");
+  ASSERT_TRUE(selected.ok()) << selected.status();
+  ASSERT_EQ(selected->molecules->size(), 1u);
+  EXPECT_EQ(selected->molecules->molecules()[0].AtomsOf(1).size(), 1u);
+}
 
 TEST_F(MqlSessionTest, PaperExample1MtState) {
   // Ch. 4: SELECT ALL FROM mt_state(state-area-edge-point);
@@ -397,7 +434,8 @@ std::string RecursiveOutcome(const Database& db,
     out += at->occurrence().Find(m.root())->values[name].AsString() + "/" +
            std::to_string(m.atom_count());
     if (!result->recursive_components.empty()) {
-      out += "/" + std::to_string(result->recursive_components[i].size());
+      out += '/';
+      out += std::to_string(result->recursive_components[i].size());
     }
   }
   return out;

@@ -21,6 +21,7 @@
 #include "molecule/recursive.h"
 #include "storage/database.h"
 #include "storage/durable_database.h"
+#include "util/string_util.h"
 
 namespace mad {
 namespace {
@@ -42,8 +43,7 @@ Schema PartSchema() {
 /// structure in derivation order plus every member atom's values resolved
 /// through the view (head when `view` is null, i.e. on a scratch database
 /// materialized at the snapshot).
-std::string Digest(const Database& db, const MoleculeDescription& md,
-                   const std::vector<Molecule>& molecules,
+std::string Digest(const Database& db, const std::vector<Molecule>& molecules,
                    const ReadView* view) {
   auto part = db.GetAtomType("part");
   EXPECT_TRUE(part.ok());
@@ -93,8 +93,8 @@ std::string RecursiveDigest(const std::vector<RecursiveMolecule>& molecules) {
       out += "]";
     }
     for (const Link& link : m.links()) {
-      out += "<" + std::to_string(link.first.value) + "-" +
-             std::to_string(link.second.value) + ">";
+      out += StrCat({"<", std::to_string(link.first.value), "-",
+                     std::to_string(link.second.value), ">"});
     }
     out += "}";
   }
@@ -236,7 +236,7 @@ TEST_F(MvccStressTest, ConcurrentWritersAndPinnedReadersStayDeterministic) {
         failed.store(true);
         return;
       }
-      const std::string pinned_digest = Digest(db, *md_, *molecules, &view);
+      const std::string pinned_digest = Digest(db, *molecules, &view);
 
       // Recursive BOM at the same pin: stable across repeated derivation.
       RecursiveDescription rd;
@@ -281,7 +281,7 @@ TEST_F(MvccStressTest, ConcurrentWritersAndPinnedReadersStayDeterministic) {
         ASSERT_TRUE(scratch_md.ok());
         auto materialized = DeriveMolecules(scratch, *scratch_md);
         ASSERT_TRUE(materialized.ok());
-        if (Digest(scratch, *scratch_md, *materialized, nullptr) !=
+        if (Digest(scratch, *materialized, nullptr) !=
             pinned_digest) {
           ADD_FAILURE() << "pinned derivation at epoch " << view.epoch
                         << " differs from materialized derivation";
@@ -307,7 +307,7 @@ TEST_F(MvccStressTest, ConcurrentWritersAndPinnedReadersStayDeterministic) {
   ASSERT_TRUE(final_md.ok());
   auto final_molecules = DeriveMolecules(db, *final_md);
   ASSERT_TRUE(final_molecules.ok());
-  std::string final_digest = Digest(db, *final_md, *final_molecules, nullptr);
+  std::string final_digest = Digest(db, *final_molecules, nullptr);
   ASSERT_TRUE(durable_->Flush().ok());
 
   durable_.reset();
@@ -318,7 +318,7 @@ TEST_F(MvccStressTest, ConcurrentWritersAndPinnedReadersStayDeterministic) {
   ASSERT_TRUE(md2.ok());
   auto molecules2 = DeriveMolecules(db2, *md2);
   ASSERT_TRUE(molecules2.ok());
-  EXPECT_EQ(Digest(db2, *md2, *molecules2, nullptr), final_digest);
+  EXPECT_EQ(Digest(db2, *molecules2, nullptr), final_digest);
   EXPECT_TRUE(db2.CheckConsistency().ok());
 }
 

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "storage/database.h"
+#include "util/string_util.h"
 
 namespace mad {
 namespace {
@@ -270,7 +271,7 @@ TEST_F(MvccTest, BackgroundGcReclaimsWithoutPins) {
   ASSERT_TRUE(engine.ok());
   for (int i = 0; i < 8; ++i) {
     ASSERT_TRUE(
-        db_.UpdateAtom("part", *engine, {Value("v" + std::to_string(i))})
+        db_.UpdateAtom("part", *engine, {Value(StrCat({"v", std::to_string(i)}))})
             .ok());
   }
   db_.StartBackgroundGc(std::chrono::milliseconds(1));

@@ -253,6 +253,63 @@ TEST_F(ServerTest, CommittedWorkSurvivesShutdown) {
   EXPECT_EQ(count->molecules->size(), 1u);
 }
 
+/// The text of a RESULT reply; a failed test on anything else.
+std::string ResultText(Client& client, const std::string& statement) {
+  auto reply = client.Query(statement);
+  EXPECT_TRUE(reply.ok()) << statement << ": " << reply.status();
+  if (!reply.ok()) return "";
+  EXPECT_EQ(reply->type, MessageType::kResult) << statement << ": "
+                                               << reply->text;
+  return reply->text;
+}
+
+/// Matches SP only while it still has its original hectare.
+constexpr char kSpAtOldHectare[] =
+    "SELECT ALL FROM state WHERE state.name = 'SP' AND state.hectare = 1000;";
+
+TEST_F(ServerTest, ResultsRenderWithoutAnotherConnectionsUncommittedWrite) {
+  StartServer();
+  Client writer;
+  Client reader;
+  ASSERT_TRUE(writer.Connect("127.0.0.1", server_->port()).ok());
+  ASSERT_TRUE(reader.Connect("127.0.0.1", server_->port()).ok());
+  ResultText(writer, "BEGIN;");
+  ResultText(writer, "UPDATE state SET hectare = 99 WHERE name = 'SP';");
+  const std::string text = ResultText(reader, kSpAtOldHectare);
+  EXPECT_NE(text.find("molecule set (1 molecules)"), std::string::npos);
+  EXPECT_NE(text.find("<'SP', 1000>"), std::string::npos) << text;
+  EXPECT_EQ(text.find("<'SP', 99>"), std::string::npos) << text;
+  ResultText(writer, "ROLLBACK;");
+}
+
+TEST_F(ServerTest, ResultsRenderAtThePinnedSnapshot) {
+  StartServer();
+  Client writer;
+  Client reader;
+  ASSERT_TRUE(writer.Connect("127.0.0.1", server_->port()).ok());
+  ASSERT_TRUE(reader.Connect("127.0.0.1", server_->port()).ok());
+  ResultText(reader, "SET PIN SNAPSHOT ON;");
+  ResultText(writer, "UPDATE state SET hectare = 7 WHERE name = 'SP';");
+  const std::string text = ResultText(reader, kSpAtOldHectare);
+  EXPECT_NE(text.find("molecule set (1 molecules)"), std::string::npos);
+  EXPECT_NE(text.find("<'SP', 1000>"), std::string::npos) << text;
+  EXPECT_EQ(text.find("<'SP', 7>"), std::string::npos) << text;
+}
+
+TEST_F(ServerTest, ResultsRenderAnAtomAnotherConnectionIsDeleting) {
+  StartServer();
+  Client writer;
+  Client reader;
+  ASSERT_TRUE(writer.Connect("127.0.0.1", server_->port()).ok());
+  ASSERT_TRUE(reader.Connect("127.0.0.1", server_->port()).ok());
+  ResultText(writer, "BEGIN;");
+  ResultText(writer, "DELETE FROM state WHERE name = 'SP';");
+  const std::string text = ResultText(reader, kSpAtOldHectare);
+  EXPECT_NE(text.find("<'SP', 1000>"), std::string::npos) << text;
+  EXPECT_EQ(text.find("?>"), std::string::npos) << text;
+  ResultText(writer, "ROLLBACK;");
+}
+
 TEST_F(ServerTest, IdleConnectionsAreClosedWithBye) {
   ServerOptions options;
   options.idle_timeout_ms = 100;
