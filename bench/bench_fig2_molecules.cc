@@ -44,7 +44,7 @@ const bool kFigurePrinted = [] {
                                     PointNeighborhoodDescription(db));
   if (pn.ok()) {
     // Show the molecule rooted at the paper's point 'pn'.
-    for (const mad::Molecule& m : pn->molecules()) {
+    for (mad::MoleculeView m : pn->molecules()) {
       if (m.root() == ids->points["pn"]) {
         std::cout << mad::text::FormatMolecule(db, pn->description(), m);
       }
@@ -57,7 +57,7 @@ const bool kFigurePrinted = [] {
     // Shared subobjects: count points occurring in >1 state molecule.
     size_t point_idx = *mt_state->description().NodeIndex("point");
     std::map<mad::AtomId, int> uses;
-    for (const mad::Molecule& m : mt_state->molecules()) {
+    for (mad::MoleculeView m : mt_state->molecules()) {
       for (mad::AtomId id : m.AtomsOf(point_idx)) ++uses[id];
     }
     int shared = 0;

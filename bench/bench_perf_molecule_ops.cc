@@ -4,8 +4,8 @@
 // frame checksum.
 // Expected shape: Σ is linear in the molecule count times qualification
 // cost; Π is linear in retained atoms; the set operators are linear in the
-// canonical-key material; X is quadratic (|mv1|·|mv2|); prop is linear in
-// the distinct atoms/links of the result set.
+// atoms and links they hash and compare; X is quadratic (|mv1|·|mv2|); prop
+// is linear in the distinct atoms/links of the result set.
 
 #include <benchmark/benchmark.h>
 
@@ -95,7 +95,7 @@ void BM_MoleculeDerivationOneRoot(benchmark::State& state) {
   // the occurrence is four times larger.
   auto& f = OpsFixture::Get(state);
   if (f.db == nullptr) return;
-  const std::vector<mad::AtomId> roots = {f.mt->molecules().front().root()};
+  const std::vector<mad::AtomId> roots = {f.mt->molecules()[0].root()};
   mad::DerivationStats stats;
   for (auto _ : state) {
     auto molecules = mad::DeriveMoleculesForRoots(*f.db, f.mt->description(),
@@ -170,19 +170,38 @@ void BM_OmegaDeltaPsi(benchmark::State& state) {
 }
 BENCHMARK(BM_OmegaDeltaPsi)->Arg(20)->Arg(100)->Arg(400);
 
-void BM_CanonicalKey(benchmark::State& state) {
-  // The fingerprint underlying the set operators.
+void BM_UnionMolecules(benchmark::State& state) {
+  // Ω of two whole map occurrences derived apart: every right molecule
+  // equals a left one, so each is hashed and compared in full.
   auto& f = OpsFixture::Get(state);
   if (f.db == nullptr) return;
+  auto other = mad::DefineMoleculeType(*f.db, "other", f.mt->description());
+  if (!other.ok()) {
+    state.SkipWithError(other.status().ToString().c_str());
+    return;
+  }
   for (auto _ : state) {
-    size_t total = 0;
-    for (const mad::Molecule& m : f.mt->molecules()) {
-      total += m.CanonicalKey().size();
-    }
-    benchmark::DoNotOptimize(total);
+    auto u = mad::UnionMolecules(*f.mt, *other, "u");
+    benchmark::DoNotOptimize(&u);
   }
 }
-BENCHMARK(BM_CanonicalKey)->Arg(20)->Arg(100);
+BENCHMARK(BM_UnionMolecules)->Arg(400);
+
+void BM_DifferenceMolecules(benchmark::State& state) {
+  // Δ of the same two occurrences: every left molecule is found and dropped.
+  auto& f = OpsFixture::Get(state);
+  if (f.db == nullptr) return;
+  auto other = mad::DefineMoleculeType(*f.db, "other", f.mt->description());
+  if (!other.ok()) {
+    state.SkipWithError(other.status().ToString().c_str());
+    return;
+  }
+  for (auto _ : state) {
+    auto d = mad::DifferenceMolecules(*f.mt, *other, "d");
+    benchmark::DoNotOptimize(&d);
+  }
+}
+BENCHMARK(BM_DifferenceMolecules)->Arg(400);
 
 void BM_CartesianProductX(benchmark::State& state) {
   auto& f = OpsFixture::Get(state);

@@ -94,7 +94,7 @@ void RunEngine(benchmark::State& state, const e::ExprPtr& pred,
   size_t hits = 0;
   for (auto _ : state) {
     hits = 0;
-    for (const mad::Molecule& m : f.mt->molecules()) {
+    for (mad::MoleculeView m : f.mt->molecules()) {
       auto verdict = program->EvalMolecule(m, scratch);
       if (!verdict.ok()) {
         state.SkipWithError(verdict.status().ToString().c_str());

@@ -56,7 +56,7 @@ int main() {
       db, {"area", "edge"}, {{"area-edge", "area", "edge", false}}));
   MoleculeType areas = Check(DefineMoleculeType(db, "area_borders", md));
   size_t mad_pairs = 0;
-  for (const Molecule& m : areas.molecules()) mad_pairs += m.links().size();
+  for (MoleculeView m : areas.molecules()) mad_pairs += m.links().size();
   std::cout << "MAD: area-edge molecules = " << areas.size()
             << ", border links touched = " << mad_pairs << "\n";
 

@@ -57,16 +57,15 @@ int main() {
   std::cout << text::FormatMoleculeType(db, mt_state, 2) << "\n";
 
   // Shared subobjects: SP's and MG's molecules meet in point 'pn'.
-  const Molecule* sp = nullptr;
-  const Molecule* mg = nullptr;
-  for (const Molecule& m : mt_state.molecules()) {
-    if (m.root() == ids.states["SP"]) sp = &m;
-    if (m.root() == ids.states["MG"]) mg = &m;
+  MoleculeView sp, mg;
+  for (MoleculeView m : mt_state.molecules()) {
+    if (m.root() == ids.states["SP"]) sp = m;
+    if (m.root() == ids.states["MG"]) mg = m;
   }
   size_t point_idx = Check(mt_state.description().NodeIndex("point"));
   std::cout << "SP and MG molecules share point 'pn': "
-            << (sp->ContainsAtom(point_idx, ids.points["pn"]) &&
-                        mg->ContainsAtom(point_idx, ids.points["pn"])
+            << (sp.ContainsAtom(point_idx, ids.points["pn"]) &&
+                        mg.ContainsAtom(point_idx, ids.points["pn"])
                     ? "yes"
                     : "no")
             << "\n\n";
@@ -87,7 +86,7 @@ int main() {
       "WHERE point.name = 'pn';"));
   std::cout << "  -> algebra: Sigma[restr(point.name='pn')]"
                "(a[point-neighborhood, G'](C'))\n";
-  for (const Molecule& m : result2.molecules->molecules()) {
+  for (MoleculeView m : result2.molecules->molecules()) {
     std::cout << text::FormatMolecule(db, result2.molecules->description(), m);
   }
   std::cout << "\n";

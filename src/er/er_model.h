@@ -45,9 +45,6 @@ class ErSchema {
   const std::vector<RelationshipType>& relationship_types() const {
     return relationships_;
   }
-  bool HasEntityType(const std::string& name) const {
-    return entity_index_.count(name) > 0;
-  }
 
  private:
   std::vector<EntityType> entities_;

@@ -509,7 +509,7 @@ Result<bool> CompiledPredicate::Eval(const AtomSpan* groups,
   return EvalBool(root_, groups, scratch);
 }
 
-Result<bool> CompiledPredicate::EvalMolecule(const Molecule& molecule,
+Result<bool> CompiledPredicate::EvalMolecule(MoleculeView molecule,
                                              Scratch& scratch) const {
   if (molecule.node_count() != stores_.size()) {
     return Status::Internal(

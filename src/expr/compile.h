@@ -91,7 +91,7 @@ class CompiledPredicate {
 
   /// Evaluates over a materialized molecule, resolving atom ids through the
   /// stores captured at compile time into dense rows held in `scratch`.
-  Result<bool> EvalMolecule(const Molecule& molecule, Scratch& scratch) const;
+  Result<bool> EvalMolecule(MoleculeView molecule, Scratch& scratch) const;
 
   /// The predicate with every attribute reference rewritten to
   /// label-qualified form (shared vocabulary with EXPLAIN and the

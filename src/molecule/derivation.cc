@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "expr/compile.h"
-#include "util/digraph.h"
 #include "util/metrics.h"
 #include "util/trace.h"
 
@@ -33,7 +32,22 @@ struct DerivationEngine::Call {
   std::vector<expr::CompiledPredicate::AtomSpan> spans;
   std::vector<std::vector<const Atom*>> row_buf;
   expr::CompiledPredicate::Scratch scratch;
+  /// Where accepted molecules are appended.
+  MoleculeSet* out = nullptr;
 };
+
+namespace {
+
+/// The scratch set of calls whose inputs bring none. It is kept per thread,
+/// so its arrays stay allocated from call to call whichever engine makes
+/// them: a set grown from empty on every call takes a page fault per new
+/// page (DESIGN.md §6).
+MoleculeSet& ThreadSet() {
+  thread_local MoleculeSet set;
+  return set;
+}
+
+}  // namespace
 
 // ---- Description resolution ----------------------------------------------
 
@@ -308,9 +322,9 @@ Result<bool> DerivationEngine::CompleteNode(size_t node_idx,
 ///
 /// Pushed filters run as each group completes — a subtree that cannot
 /// qualify is pruned before its descendants expand — and the residual
-/// program runs before materialization. Rejections return nullopt.
-Result<std::optional<Molecule>> DerivationEngine::DeriveOne(uint32_t root_dense,
-                                                            Call& call) {
+/// program runs before materialization. Rejections return false and append
+/// nothing.
+Result<bool> DerivationEngine::DeriveOne(uint32_t root_dense, Call& call) {
   const uint64_t epoch = ++epoch_;
   const uint64_t token_base = epoch * edges_.size();
   for (NodeScratch& ns : scratch_) ns.group.clear();
@@ -328,7 +342,7 @@ Result<std::optional<Molecule>> DerivationEngine::DeriveOne(uint32_t root_dense,
     MAD_ASSIGN_OR_RETURN(bool keep, CompleteNode(root_node_, call));
     if (!keep) {
       ++call.rejected;
-      return std::optional<Molecule>();
+      return false;
     }
   }
 
@@ -370,7 +384,7 @@ Result<std::optional<Molecule>> DerivationEngine::DeriveOne(uint32_t root_dense,
       MAD_ASSIGN_OR_RETURN(bool keep, CompleteNode(node_idx, call));
       if (!keep) {
         ++call.rejected;
-        return std::optional<Molecule>();
+        return false;
       }
     }
   }
@@ -380,22 +394,21 @@ Result<std::optional<Molecule>> DerivationEngine::DeriveOne(uint32_t root_dense,
                          call.residual->Eval(call.spans.data(), call.scratch));
     if (!keep) {
       ++call.rejected;
-      return std::optional<Molecule>();
+      return false;
     }
   }
 
-  Molecule m(nodes_[root_node_].ids[root_dense], nodes_.size());
+  MoleculeSet& out = *call.out;
+  out.StartMolecule(nodes_[root_node_].ids[root_dense]);
   for (size_t i = 0; i < nodes_.size(); ++i) {
-    std::vector<AtomId>& out = m.MutableAtomsOf(i);
-    out.reserve(scratch_[i].group.size());
-    for (uint32_t member : scratch_[i].group) {
-      out.push_back(nodes_[i].ids[member]);
-    }
+    const std::vector<AtomId>& ids = nodes_[i].ids;
+    for (uint32_t member : scratch_[i].group) out.AddAtom(ids[member]);
+    out.CloseGroup();
   }
 
   // Record the molecule's links g: every underlying link between contained
   // atoms along a description edge.
-  for (size_t edge_idx = 0; edge_idx < edges_.size(); ++edge_idx) {
+  for (uint32_t edge_idx = 0; edge_idx < edges_.size(); ++edge_idx) {
     const EdgeSnapshot& edge = edges_[edge_idx];
     const NodeScratch& to_scratch = scratch_[edge.to_node];
     const std::vector<AtomId>& from_ids = nodes_[edge.from_node].ids;
@@ -407,19 +420,20 @@ Result<std::optional<Molecule>> DerivationEngine::DeriveOne(uint32_t root_dense,
       for (size_t k = row_begin; k < row_end; ++k) {
         const uint32_t target = edge.targets[k];
         if (to_scratch.member_epoch[target] == epoch) {
-          m.AddLink(MoleculeLink{edge_idx, from_ids[parent], to_ids[target]});
+          out.AddLink(MoleculeLink{edge_idx, from_ids[parent], to_ids[target]});
         }
       }
     }
   }
-  return std::optional<Molecule>(std::move(m));
+  out.CloseMolecule();
+  return true;
 }
 
 // ---- Fan-out over the roots ----------------------------------------------
 
-Result<std::vector<Molecule>> DerivationEngine::FanOut(
-    const std::vector<uint32_t>& roots, size_t admitted, Call& call,
-    DerivationStats* stats) {
+Status DerivationEngine::FanOut(const std::vector<uint32_t>& roots,
+                                size_t admitted, Call& call,
+                                DerivationStats* stats) {
   // One span covers the whole fan-out; the per-root loop stays span-free
   // (it aggregates into DerivationStats instead). Its note says how many
   // atoms this call added to the snapshot: 0 when it reused one.
@@ -433,11 +447,9 @@ Result<std::vector<Molecule>> DerivationEngine::FanOut(
   SizeScratch();
   // Roots are derived in order, so the output is root order; a filter
   // rejection derives no molecule, and the first evaluation error wins.
-  std::vector<Molecule> molecules;
-  molecules.reserve(roots.size());
+  call.out->Reset(nodes_.size());
   for (uint32_t root : roots) {
-    MAD_ASSIGN_OR_RETURN(std::optional<Molecule> m, DeriveOne(root, call));
-    if (m.has_value()) molecules.push_back(std::move(*m));
+    MAD_RETURN_IF_ERROR(DeriveOne(root, call).status());
   }
   const double wall_ms = std::chrono::duration<double, std::milli>(
                              std::chrono::steady_clock::now() - start)
@@ -469,14 +481,19 @@ Result<std::vector<Molecule>> DerivationEngine::FanOut(
   rejected_counter.Add(call.rejected);
   wall_hist.Observe(static_cast<uint64_t>(wall_ms * 1000.0));
 
-  span.set_rows_out(static_cast<int64_t>(molecules.size()));
-  return molecules;
+  span.set_rows_out(static_cast<int64_t>(call.out->size()));
+  return Status::OK();
 }
 
-Result<std::vector<Molecule>> DerivationEngine::DeriveWith(
+Result<const MoleculeSet*> DerivationEngine::DeriveWith(
     const std::vector<AtomId>* roots, const DerivationOptions& inputs,
     DerivationStats* stats) {
+  // Inputs other than the engine's own must read like the snapshot.
+  if (&inputs != &options_) {
+    MAD_RETURN_IF_ERROR(CheckReadsLikeSnapshot(inputs.view));
+  }
   Call call;
+  call.out = inputs.scratch != nullptr ? inputs.scratch : &ThreadSet();
   MAD_RETURN_IF_ERROR(Bind(inputs, &call));
   const size_t admitted_before = AdmittedCount();
   NodeSnapshot& root = nodes_[root_node_];
@@ -510,59 +527,53 @@ Result<std::vector<Molecule>> DerivationEngine::DeriveWith(
     }
   }
   Grow();
-  return FanOut(dense_roots, AdmittedCount() - admitted_before, call, stats);
+  MAD_RETURN_IF_ERROR(
+      FanOut(dense_roots, AdmittedCount() - admitted_before, call, stats));
+  return call.out;
 }
 
 Result<std::vector<Molecule>> DerivationEngine::DeriveAll(
     DerivationStats* stats) {
-  return DeriveWith(nullptr, options_, stats);
+  MAD_ASSIGN_OR_RETURN(const MoleculeSet* set,
+                       DeriveWith(nullptr, options_, stats));
+  return set->ToMolecules();
 }
 
 Result<std::vector<Molecule>> DerivationEngine::DeriveForRoots(
     const std::vector<AtomId>& roots, DerivationStats* stats) {
-  return DeriveWith(&roots, options_, stats);
+  MAD_ASSIGN_OR_RETURN(const MoleculeSet* set,
+                       DeriveWith(&roots, options_, stats));
+  return set->ToMolecules();
 }
 
-Result<std::vector<Molecule>> DerivationEngine::DeriveAll(
-    const DerivationOptions& inputs, DerivationStats* stats) {
-  MAD_RETURN_IF_ERROR(CheckReadsLikeSnapshot(inputs.view));
-  return DeriveWith(nullptr, inputs, stats);
+// The set-returning calls hand out an exact-size copy of the scratch set,
+// whose arrays stay allocated for the next call.
+
+Result<MoleculeSet> DerivationEngine::DeriveAll(const DerivationOptions& inputs,
+                                                DerivationStats* stats) {
+  MAD_ASSIGN_OR_RETURN(const MoleculeSet* set,
+                       DeriveWith(nullptr, inputs, stats));
+  return *set;
 }
 
-Result<std::vector<Molecule>> DerivationEngine::DeriveForRoots(
+Result<MoleculeSet> DerivationEngine::DeriveForRoots(
     const std::vector<AtomId>& roots, const DerivationOptions& inputs,
     DerivationStats* stats) {
-  MAD_RETURN_IF_ERROR(CheckReadsLikeSnapshot(inputs.view));
-  return DeriveWith(&roots, inputs, stats);
+  MAD_ASSIGN_OR_RETURN(const MoleculeSet* set,
+                       DeriveWith(&roots, inputs, stats));
+  return *set;
 }
 
 Result<Molecule> DerivationEngine::DeriveFor(AtomId root,
                                              DerivationStats* stats) {
-  Call call;
-  MAD_RETURN_IF_ERROR(Bind(options_, &call));
-  NodeSnapshot& root_node = nodes_[root_node_];
-  root_node.Touch(options_.view);
-  std::optional<size_t> position = root_node.PositionOf(root);
-  if (!position.has_value()) {
-    return Status::NotFound("atom #" + std::to_string(root.value) +
-                            " is not in root atom type '" + root_type_name_ +
-                            "'");
-  }
-  const uint32_t root_dense = root_node.Admit(*position);
-  Grow();
-  SizeScratch();
-  MAD_ASSIGN_OR_RETURN(std::optional<Molecule> m, DeriveOne(root_dense, call));
-  if (!m.has_value()) {
+  const std::vector<AtomId> roots = {root};
+  MAD_ASSIGN_OR_RETURN(const MoleculeSet* set,
+                       DeriveWith(&roots, options_, stats));
+  if (set->empty()) {
     return Status::NotFound("molecule #" + std::to_string(root.value) +
                             " was rejected by pushed-down qualification");
   }
-  if (stats != nullptr) {
-    *stats = DerivationStats{};
-    stats->roots = 1;
-    stats->atoms_visited = call.atoms_visited;
-    stats->links_scanned = call.links_scanned;
-  }
-  return *std::move(m);
+  return Molecule((*set)[0]);
 }
 
 // ---- Free-function façade --------------------------------------------------
@@ -600,80 +611,10 @@ Result<MoleculeType> DefineMoleculeType(const Database& db, std::string name,
   if (name.empty()) {
     return Status::InvalidArgument("molecule type name must be non-empty");
   }
-  MAD_ASSIGN_OR_RETURN(std::vector<Molecule> molecules,
-                       DeriveMolecules(db, md, options, stats));
+  MAD_ASSIGN_OR_RETURN(DerivationEngine engine,
+                       DerivationEngine::Create(db, md, options));
+  MAD_ASSIGN_OR_RETURN(MoleculeSet molecules, engine.DeriveAll(options, stats));
   return MoleculeType(std::move(name), std::move(md), std::move(molecules));
-}
-
-Status ValidateMolecule(const Database& db, const MoleculeDescription& md,
-                        const Molecule& molecule) {
-  if (molecule.node_count() != md.nodes().size()) {
-    return Status::InvalidArgument(
-        "molecule has a different node count than its description");
-  }
-  MAD_ASSIGN_OR_RETURN(size_t root_idx, md.NodeIndex(md.root_label()));
-
-  // The root group holds exactly the root atom.
-  const std::vector<AtomId>& root_group = molecule.AtomsOf(root_idx);
-  if (root_group.size() != 1 || root_group[0] != molecule.root()) {
-    return Status::ConstraintViolation(
-        "molecule root group must hold exactly the root atom");
-  }
-
-  // Every atom exists under its node's atom type.
-  for (size_t i = 0; i < md.nodes().size(); ++i) {
-    MAD_ASSIGN_OR_RETURN(const AtomType* at,
-                         db.GetAtomType(md.nodes()[i].type_name));
-    for (AtomId id : molecule.AtomsOf(i)) {
-      if (!at->occurrence().Contains(id)) {
-        return Status::ConstraintViolation(
-            "molecule atom #" + std::to_string(id.value) +
-            " is not in atom type '" + md.nodes()[i].type_name + "'");
-      }
-    }
-  }
-
-  // Every link is realised in the database with the right orientation and
-  // connects contained atoms; build the instance graph along the way.
-  Digraph instance;
-  auto node_key = [](size_t node_idx, AtomId id) {
-    return std::to_string(node_idx) + ":" + std::to_string(id.value);
-  };
-  for (size_t i = 0; i < md.nodes().size(); ++i) {
-    for (AtomId id : molecule.AtomsOf(i)) instance.AddNode(node_key(i, id));
-  }
-  for (const MoleculeLink& link : molecule.links()) {
-    if (link.edge_index >= md.links().size()) {
-      return Status::ConstraintViolation("molecule link has bad edge index");
-    }
-    const DirectedLink& dl = md.links()[link.edge_index];
-    MAD_ASSIGN_OR_RETURN(size_t from_idx, md.NodeIndex(dl.from));
-    MAD_ASSIGN_OR_RETURN(size_t to_idx, md.NodeIndex(dl.to));
-    if (!molecule.ContainsAtom(from_idx, link.parent) ||
-        !molecule.ContainsAtom(to_idx, link.child)) {
-      return Status::ConstraintViolation(
-          "molecule link endpoints are not molecule atoms");
-    }
-    MAD_ASSIGN_OR_RETURN(const LinkType* lt, db.GetLinkType(dl.link_type));
-    bool present = dl.reverse
-                       ? lt->occurrence().Contains(link.child, link.parent)
-                       : lt->occurrence().Contains(link.parent, link.child);
-    if (!present) {
-      return Status::ConstraintViolation(
-          "molecule link is not present in link type '" + dl.link_type + "'");
-    }
-    MAD_RETURN_IF_ERROR(instance.AddEdge(dl.link_type,
-                                         node_key(from_idx, link.parent),
-                                         node_key(to_idx, link.child)));
-  }
-
-  // mv_graph: the instance graph is a coherent DAG rooted at the root atom.
-  MAD_ASSIGN_OR_RETURN(std::string instance_root, instance.CheckRootedDag());
-  if (instance_root != node_key(root_idx, molecule.root())) {
-    return Status::ConstraintViolation(
-        "molecule instance graph is not rooted at the root atom");
-  }
-  return Status::OK();
 }
 
 }  // namespace mad

@@ -22,8 +22,8 @@ class CompiledPredicate;
 
 /// Tuning knobs of the derivation engine, which are also the inputs of one
 /// derive call: the options given to Create() serve the calls that take no
-/// inputs of their own, and the calls that do take them replace all three
-/// (view, pushed filters, residual) for that call only.
+/// inputs of their own, and the calls that do take them replace all of
+/// them (view, pushed filters, residual, scratch) for that call only.
 struct DerivationOptions {
   DerivationOptions() = default;
   /// No-op, kept with `parallelism` only for the servebench sources, which
@@ -46,8 +46,12 @@ struct DerivationOptions {
   /// disjunctions, FORALL across nodes): evaluated over the completed
   /// groups of each molecule, before materialization.
   const expr::CompiledPredicate* residual = nullptr;
-  // The compiled programs are borrowed and must outlive every derive call
-  // that reads them.
+  /// Where a call appends its molecules before it hands out their
+  /// exact-size copy. A caller that keeps one across calls keeps its arrays
+  /// allocated; nullptr uses one kept per thread (DESIGN.md §6).
+  MoleculeSet* scratch = nullptr;
+  // The compiled programs and the scratch set are borrowed and must outlive
+  // every derive call that reads them.
   /// Epoch pin: when set, derivation reads the versions visible at this view
   /// instead of the head (DESIGN.md §11). A store the view can read as-is
   /// (`HeadVisibleAt`) is still read through its head; any other is read
@@ -86,7 +90,9 @@ struct DerivationOptions {
 /// A derive call runs on the calling thread. One epoch-stamped scratch
 /// workspace, kept by the engine and grown with admissions, serves every
 /// root of every call without clearing, and molecules come out in root
-/// order.
+/// order. Accepted molecules are appended to a MoleculeSet whose arrays stay
+/// allocated from call to call and from engine to engine (the inputs'
+/// `scratch`); each call hands out an exact-size copy of it (DESIGN.md §6).
 class DerivationEngine {
  public:
   /// Resolves `md` against `db`: atom and link stores with their head
@@ -99,26 +105,27 @@ class DerivationEngine {
 
   /// One molecule per root-atom-type atom, in occurrence order. Molecules
   /// rejected by pushed filters are omitted (the survivors keep occurrence
-  /// order and are bit-identical to derive-then-restrict).
+  /// order and are bit-identical to derive-then-restrict). The set comes
+  /// out as owning values.
   Result<std::vector<Molecule>> DeriveAll(DerivationStats* stats = nullptr);
 
   /// Molecules for exactly `roots`, in the given order (filter rejections
-  /// omitted). Every root is validated up front; invalid ids are reported
-  /// together in one NotFound status.
+  /// omitted), as owning values. Every root is validated up front; invalid
+  /// ids are reported together in one NotFound status.
   Result<std::vector<Molecule>> DeriveForRoots(
       const std::vector<AtomId>& roots, DerivationStats* stats = nullptr);
 
   /// DeriveAll and DeriveForRoots with per-call inputs in place of the
-  /// options given to Create(). `inputs.view` must read every store the way
-  /// the snapshot does: as Create()'s view did, or — when the snapshot read
-  /// every store through its head — as any view at which
-  /// SnapshotCurrentAt() holds. A view that reads otherwise fails the call
-  /// with InvalidArgument before anything is derived.
-  Result<std::vector<Molecule>> DeriveAll(const DerivationOptions& inputs,
-                                          DerivationStats* stats);
-  Result<std::vector<Molecule>> DeriveForRoots(
-      const std::vector<AtomId>& roots, const DerivationOptions& inputs,
-      DerivationStats* stats);
+  /// options given to Create(), returning the flat set. `inputs.view` must
+  /// read every store the way the snapshot does: as Create()'s view did,
+  /// or — when the snapshot read every store through its head — as any
+  /// view at which SnapshotCurrentAt() holds. A view that reads otherwise
+  /// fails the call with InvalidArgument before anything is derived.
+  Result<MoleculeSet> DeriveAll(const DerivationOptions& inputs,
+                                DerivationStats* stats);
+  Result<MoleculeSet> DeriveForRoots(const std::vector<AtomId>& roots,
+                                     const DerivationOptions& inputs,
+                                     DerivationStats* stats);
 
   /// The single molecule rooted at `root`.
   Result<Molecule> DeriveFor(AtomId root, DerivationStats* stats = nullptr);
@@ -208,10 +215,12 @@ class DerivationEngine {
   /// (see DeriveAll(inputs, stats)).
   Status CheckReadsLikeSnapshot(const std::optional<ReadView>& view) const;
   /// Admits exactly `roots`, or every root-type atom when `roots` is null,
-  /// grows the snapshot and fans out over them.
-  Result<std::vector<Molecule>> DeriveWith(const std::vector<AtomId>* roots,
-                                           const DerivationOptions& inputs,
-                                           DerivationStats* stats);
+  /// grows the snapshot and fans out over them into the scratch set, which
+  /// it returns. Inputs other than `options_` are first checked with
+  /// CheckReadsLikeSnapshot.
+  Result<const MoleculeSet*> DeriveWith(const std::vector<AtomId>* roots,
+                                        const DerivationOptions& inputs,
+                                        DerivationStats* stats);
   /// Gives every admitted atom without rows its row on each outgoing edge,
   /// node by node in topological order, admitting partners as found.
   void Grow();
@@ -219,14 +228,13 @@ class DerivationEngine {
   size_t AdmittedCount() const;
   /// Grows the kept scratch to the admitted atoms.
   void SizeScratch();
-  /// Derives the molecule for one root; nullopt when a pushed filter or the
-  /// residual program rejected it, an error status when a program failed to
-  /// evaluate.
-  Result<std::optional<Molecule>> DeriveOne(uint32_t root_dense, Call& call);
+  /// Derives the molecule for one root and appends it to `call.out`; false
+  /// when a pushed filter or the residual program rejected it, an error
+  /// status when a program failed to evaluate.
+  Result<bool> DeriveOne(uint32_t root_dense, Call& call);
   Result<bool> CompleteNode(size_t node_idx, Call& call) const;
-  Result<std::vector<Molecule>> FanOut(const std::vector<uint32_t>& roots,
-                                       size_t admitted, Call& call,
-                                       DerivationStats* stats);
+  Status FanOut(const std::vector<uint32_t>& roots, size_t admitted,
+                Call& call, DerivationStats* stats);
 
   /// The inputs of the calls that take none of their own; `view` is also
   /// the view the snapshot reads pinned stores at.
@@ -280,13 +288,6 @@ Result<MoleculeType> DefineMoleculeType(const Database& db, std::string name,
                                         MoleculeDescription md,
                                         const DerivationOptions& options = {},
                                         DerivationStats* stats = nullptr);
-
-/// Checks the mv_graph predicate (Def. 6) on an already-built molecule:
-/// the instance graph must be directed, acyclic, coherent, rooted at the
-/// molecule's root atom, and each atom/link must exist in the database
-/// under the description's types. Used by tests and by Theorem-2 checks.
-Status ValidateMolecule(const Database& db, const MoleculeDescription& md,
-                        const Molecule& molecule);
 
 }  // namespace mad
 

@@ -18,20 +18,27 @@ namespace mad {
 class MoleculeType {
  public:
   MoleculeType(std::string name, MoleculeDescription description,
-               std::vector<Molecule> molecules)
+               MoleculeSet molecules)
       : name_(std::move(name)),
         description_(std::move(description)),
         molecules_(std::move(molecules)) {}
+  /// Copies hand-built molecules, each with one group per description node,
+  /// into the occurrence.
+  MoleculeType(std::string name, MoleculeDescription description,
+               const std::vector<Molecule>& molecules)
+      : name_(std::move(name)),
+        description_(std::move(description)),
+        molecules_(molecules, description_.nodes().size()) {}
 
   /// mname
   const std::string& name() const { return name_; }
   /// md
   const MoleculeDescription& description() const { return description_; }
   /// mv
-  const std::vector<Molecule>& molecules() const { return molecules_; }
+  const MoleculeSet& molecules() const { return molecules_; }
   /// mv, moved out of a molecule type that is going away, so an operator
   /// that owns its operand reuses the molecules instead of copying them.
-  std::vector<Molecule> TakeMolecules() && { return std::move(molecules_); }
+  MoleculeSet TakeMolecules() && { return std::move(molecules_); }
 
   size_t size() const { return molecules_.size(); }
   bool empty() const { return molecules_.empty(); }
@@ -39,7 +46,7 @@ class MoleculeType {
  private:
   std::string name_;
   MoleculeDescription description_;
-  std::vector<Molecule> molecules_;
+  MoleculeSet molecules_;
 };
 
 }  // namespace mad

@@ -29,6 +29,12 @@ Status CheckCompatible(const MoleculeType& left, const MoleculeType& right) {
   return Status::OK();
 }
 
+/// Molecules under set semantics, for Ω and Δ.
+struct FingerprintOf {
+  size_t operator()(MoleculeView m) const { return m.Fingerprint(); }
+};
+using MoleculeLookup = std::unordered_set<MoleculeView, FingerprintOf>;
+
 }  // namespace
 
 Result<MoleculeType> RestrictMolecules(const Database& db,
@@ -47,24 +53,14 @@ Result<MoleculeType> RestrictMolecules(const Database& db,
       expr::CompiledPredicate program,
       expr::CompiledPredicate::Compile(db, mt.description(), predicate, view));
 
-  const std::vector<Molecule>& molecules = mt.molecules();
-  const size_t n = molecules.size();
-  std::vector<char> verdicts(n, 0);
+  const MoleculeSet& molecules = mt.molecules();
+  std::vector<char> verdicts(molecules.size(), 0);
   expr::CompiledPredicate::Scratch scratch;
-  for (size_t i = 0; i < n; ++i) {
+  for (size_t i = 0; i < molecules.size(); ++i) {
     MAD_ASSIGN_OR_RETURN(bool hit, program.EvalMolecule(molecules[i], scratch));
     verdicts[i] = hit ? 1 : 0;
   }
-
-  // Copy survivors once, into exactly-sized storage: no reallocation moves,
-  // no speculative copies of rejected molecules.
-  const size_t kept_count = static_cast<size_t>(
-      std::count(verdicts.begin(), verdicts.end(), char{1}));
-  std::vector<Molecule> kept;
-  kept.reserve(kept_count);
-  for (size_t i = 0; i < n; ++i) {
-    if (verdicts[i]) kept.push_back(molecules[i]);
-  }
+  MoleculeSet kept = molecules.Subset(verdicts);
   span.set_rows_out(static_cast<int64_t>(kept.size()));
   return MoleculeType(std::move(result_name), mt.description(),
                       std::move(kept));
@@ -151,14 +147,15 @@ Result<MoleculeType> ProjectMolecules(const Database& db, MoleculeType mt,
   // Every node and edge kept: the molecules are already the projection's.
   // Otherwise each one drops, in place, the atoms of dropped nodes and the
   // links along dropped edges, and renumbers the rest.
-  std::vector<Molecule> molecules = std::move(mt).TakeMolecules();
+  MoleculeSet molecules = std::move(mt).TakeMolecules();
   if (old_node_index.size() < md.nodes().size() ||
       old_edge_index.size() < md.links().size()) {
-    std::vector<size_t> edge_remap(md.links().size(), Molecule::kDroppedEdge);
+    std::vector<uint32_t> edge_remap(md.links().size(),
+                                     MoleculeSet::kDroppedEdge);
     for (size_t k = 0; k < old_edge_index.size(); ++k) {
-      edge_remap[old_edge_index[k]] = k;
+      edge_remap[old_edge_index[k]] = static_cast<uint32_t>(k);
     }
-    for (Molecule& m : molecules) m.Project(old_node_index, edge_remap);
+    molecules.Project(old_node_index, edge_remap);
   }
   return MoleculeType(std::move(result_name), *std::move(new_md),
                       std::move(molecules));
@@ -174,21 +171,13 @@ Result<MoleculeType> UnionMolecules(const MoleculeType& left,
   ScopedSpan span("omega");
   span.set_rows_in(static_cast<int64_t>(left.size() + right.size()));
 
-  // Decide the right-side survivors first, then copy everything exactly
-  // once into exactly-sized storage.
-  std::unordered_set<std::string> seen;
-  seen.reserve(left.size() + right.size());
-  for (const Molecule& m : left.molecules()) seen.insert(m.CanonicalKey());
-  std::vector<const Molecule*> fresh;
-  fresh.reserve(right.size());
-  for (const Molecule& m : right.molecules()) {
-    if (seen.insert(m.CanonicalKey()).second) fresh.push_back(&m);
+  // Every left molecule, then each right one not seen before.
+  MoleculeLookup seen(left.size() + right.size());
+  for (MoleculeView m : left.molecules()) seen.insert(m);
+  MoleculeSet merged = left.molecules();
+  for (MoleculeView m : right.molecules()) {
+    if (seen.insert(m).second) merged.Append(m);
   }
-  std::vector<Molecule> merged;
-  merged.reserve(left.size() + fresh.size());
-  merged.insert(merged.end(), left.molecules().begin(),
-                left.molecules().end());
-  for (const Molecule* m : fresh) merged.push_back(*m);
   span.set_rows_out(static_cast<int64_t>(merged.size()));
   return MoleculeType(std::move(result_name), left.description(),
                       std::move(merged));
@@ -204,19 +193,13 @@ Result<MoleculeType> DifferenceMolecules(const MoleculeType& left,
   ScopedSpan span("delta");
   span.set_rows_in(static_cast<int64_t>(left.size()));
 
-  std::unordered_set<std::string> drop;
-  drop.reserve(right.molecules().size());
-  for (const Molecule& m : right.molecules()) drop.insert(m.CanonicalKey());
-
-  // Keep by index, then copy survivors once into exactly-sized storage.
-  std::vector<const Molecule*> survivors;
-  survivors.reserve(left.size());
-  for (const Molecule& m : left.molecules()) {
-    if (drop.count(m.CanonicalKey()) == 0) survivors.push_back(&m);
+  MoleculeLookup drop(right.size());
+  for (MoleculeView m : right.molecules()) drop.insert(m);
+  std::vector<char> keep(left.size());
+  for (size_t i = 0; i < left.size(); ++i) {
+    keep[i] = drop.count(left.molecules()[i]) == 0 ? 1 : 0;
   }
-  std::vector<Molecule> kept;
-  kept.reserve(survivors.size());
-  for (const Molecule* m : survivors) kept.push_back(*m);
+  MoleculeSet kept = left.molecules().Subset(keep);
   span.set_rows_out(static_cast<int64_t>(kept.size()));
   return MoleculeType(std::move(result_name), left.description(),
                       std::move(kept));
@@ -305,36 +288,39 @@ Result<MoleculeType> CartesianProductMolecules(Database& db,
     links.push_back(out);
   }
 
-  size_t left_nodes = left.description().nodes().size();
-  size_t left_edges = left.description().links().size();
+  const uint32_t left_edges =
+      static_cast<uint32_t>(left.description().links().size());
 
   // Couple every pair of operand molecules under a fresh pair atom.
-  std::vector<Molecule> molecules;
-  molecules.reserve(left.size() * right.size());
-  for (const Molecule& m1 : left.molecules()) {
-    for (const Molecule& m2 : right.molecules()) {
+  MoleculeSet molecules(nodes.size());
+  auto add_groups = [&](MoleculeView m) {
+    for (size_t i = 0; i < m.node_count(); ++i) {
+      for (AtomId id : m.AtomsOf(i)) molecules.AddAtom(id);
+      molecules.CloseGroup();
+    }
+  };
+  auto add_links = [&](MoleculeView m, uint32_t first_edge) {
+    for (const MoleculeLink& link : m.links()) {
+      molecules.AddLink(MoleculeLink{first_edge + link.edge_index, link.parent,
+                                     link.child});
+    }
+  };
+  for (MoleculeView m1 : left.molecules()) {
+    for (MoleculeView m2 : right.molecules()) {
       MAD_ASSIGN_OR_RETURN(AtomId pair_atom, db.InsertAtom(pair_type, {}));
       MAD_RETURN_IF_ERROR(db.InsertLink(left_link, pair_atom, m1.root()));
       MAD_RETURN_IF_ERROR(db.InsertLink(right_link, pair_atom, m2.root()));
 
-      Molecule out(pair_atom, nodes.size());
-      out.MutableAtomsOf(0).push_back(pair_atom);
-      for (size_t i = 0; i < left_nodes; ++i) {
-        out.MutableAtomsOf(1 + i) = m1.AtomsOf(i);
-      }
-      for (size_t i = 0; i < m2.node_count(); ++i) {
-        out.MutableAtomsOf(1 + left_nodes + i) = m2.AtomsOf(i);
-      }
-      out.AddLink(MoleculeLink{0, pair_atom, m1.root()});
-      out.AddLink(MoleculeLink{1, pair_atom, m2.root()});
-      for (const MoleculeLink& link : m1.links()) {
-        out.AddLink(MoleculeLink{2 + link.edge_index, link.parent, link.child});
-      }
-      for (const MoleculeLink& link : m2.links()) {
-        out.AddLink(MoleculeLink{2 + left_edges + link.edge_index, link.parent,
-                                 link.child});
-      }
-      molecules.push_back(std::move(out));
+      molecules.StartMolecule(pair_atom);
+      molecules.AddAtom(pair_atom);
+      molecules.CloseGroup();
+      add_groups(m1);
+      add_groups(m2);
+      molecules.AddLink(MoleculeLink{0, pair_atom, m1.root()});
+      molecules.AddLink(MoleculeLink{1, pair_atom, m2.root()});
+      add_links(m1, 2);
+      add_links(m2, 2 + left_edges);
+      molecules.CloseMolecule();
     }
   }
 

@@ -35,7 +35,7 @@ Result<MoleculeType> PropagateMoleculeType(Database& db,
     new_type_names.push_back(new_name);
 
     std::unordered_set<AtomId> inserted;
-    for (const Molecule& m : mt.molecules()) {
+    for (MoleculeView m : mt.molecules()) {
       for (AtomId id : m.AtomsOf(i)) {
         if (!inserted.insert(id).second) continue;  // shared subobject
         const Atom* atom = at->occurrence().Find(id);
@@ -68,7 +68,7 @@ Result<MoleculeType> PropagateMoleculeType(Database& db,
                                           new_type_names[to_idx]));
     new_link_names.push_back(new_name);
 
-    for (const Molecule& m : mt.molecules()) {
+    for (MoleculeView m : mt.molecules()) {
       for (const MoleculeLink& link : m.links()) {
         if (link.edge_index != j) continue;
         Status s = db.InsertLink(new_name, link.parent, link.child);

@@ -18,7 +18,7 @@ MoleculeTypeStats ComputeMoleculeTypeStats(const MoleculeType& mt) {
   bool first = true;
   size_t total_atoms = 0;
   size_t total_links = 0;
-  for (const Molecule& m : mt.molecules()) {
+  for (MoleculeView m : mt.molecules()) {
     size_t atoms = m.atom_count();
     size_t links = m.links().size();
     total_atoms += atoms;
@@ -33,7 +33,7 @@ MoleculeTypeStats ComputeMoleculeTypeStats(const MoleculeType& mt) {
       stats.max_links = std::max(stats.max_links, links);
     }
     for (size_t i = 0; i < nodes.size(); ++i) {
-      const std::vector<AtomId>& group = m.AtomsOf(i);
+      const std::span<const AtomId> group = m.AtomsOf(i);
       NodeStats& ns = stats.nodes[i];
       size_t count = group.size();
       if (first) {

@@ -147,8 +147,8 @@ Result<QueryResult> ExecuteRecursive(const Database& db,
     }
     span.set_rows_in(static_cast<int64_t>(members.size()));
     DerivationStats stats;
-    MAD_ASSIGN_OR_RETURN(std::vector<Molecule> components,
-                         engine.DeriveForRoots(members, &stats));
+    MAD_ASSIGN_OR_RETURN(MoleculeSet components,
+                         engine.DeriveForRoots(members, dopts, &stats));
     span.set_rows_out(static_cast<int64_t>(components.size()));
     totals.roots += stats.roots;
     totals.atoms_visited += stats.atoms_visited;
@@ -178,6 +178,7 @@ Result<QueryResult> Session::ExecutePlan(const SelectPlan& plan,
   if (plan.recursive.has_value()) return ExecuteRecursive(*db_, plan, view);
   DerivationOptions inputs;
   inputs.view = view;
+  inputs.scratch = &derive_scratch_;
   for (size_t i = 0; i < plan.node_programs.size(); ++i) {
     inputs.node_filters.emplace_back(plan.pushdown.node_filters[i].node_index,
                                      &plan.node_programs[i]);
@@ -187,7 +188,7 @@ Result<QueryResult> Session::ExecutePlan(const SelectPlan& plan,
   }
   MAD_ASSIGN_OR_RETURN(Roots roots, SeedRoots(*db_, plan));
   DerivationStats stats;
-  std::vector<Molecule> molecules;
+  MoleculeSet molecules;
   {
     // The fused Σ: rows_in counts the roots fanned out over, rows_out the
     // molecules surviving the pushed programs.
@@ -216,7 +217,7 @@ Result<QueryResult> Session::ExecutePlan(const SelectPlan& plan,
   return result;
 }
 
-Result<std::vector<Molecule>> Session::Derive(
+Result<MoleculeSet> Session::Derive(
     const MoleculeDescription& md,
     const std::optional<std::vector<AtomId>>& roots,
     const DerivationOptions& inputs, DerivationStats* stats) {
@@ -236,8 +237,7 @@ Result<std::vector<Molecule>> Session::Derive(
   MAD_ASSIGN_OR_RETURN(DerivationEngine engine,
                        DerivationEngine::Create(*db_, md, std::move(resolve)));
   if (roots.has_value()) return engine.DeriveForRoots(*roots, inputs, stats);
-  MAD_ASSIGN_OR_RETURN(std::vector<Molecule> molecules,
-                       engine.DeriveAll(inputs, stats));
+  MAD_ASSIGN_OR_RETURN(MoleculeSet molecules, engine.DeriveAll(inputs, stats));
   // Only a snapshot of every root is kept: a seeded one is sized to its
   // reach and cheap to grow again. One read through a pinned view is never
   // current at a later statement, so it is not kept either.

@@ -38,7 +38,7 @@ struct QueryResult {
   /// With an expansion tail (`part-[composition*]-supplier`):
   /// recursive_components[i] holds one component molecule per closure
   /// member of recursive[i], described by expansion_description.
-  std::vector<std::vector<Molecule>> recursive_components;
+  std::vector<MoleculeSet> recursive_components;
   std::optional<MoleculeDescription> expansion_description;
   /// Human-readable command outcome ("atom type created", ...).
   std::string message;
@@ -149,7 +149,7 @@ class Session {
   /// `inputs`, on the kept snapshot while it is current at the inputs' view,
   /// else on a fresh engine, which is kept when it derived every root and
   /// read every store through its head (DESIGN.md §6).
-  Result<std::vector<Molecule>> Derive(
+  Result<MoleculeSet> Derive(
       const MoleculeDescription& md,
       const std::optional<std::vector<AtomId>>& roots,
       const DerivationOptions& inputs, DerivationStats* stats);
@@ -222,6 +222,9 @@ class Session {
   /// its own. RunOpen drops it together with the database it describes.
   struct KeptSnapshot;
   std::unique_ptr<KeptSnapshot> kept_snapshot_;
+  /// Where this session's SELECTs assemble their molecules, on the kept
+  /// snapshot or a fresh engine (DerivationOptions::scratch).
+  MoleculeSet derive_scratch_;
   /// The open BEGIN, if any. Declared last: its destructor (auto-rollback)
   /// must run before the database it mutates can go away with durable_.
   std::unique_ptr<Transaction> txn_;

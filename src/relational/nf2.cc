@@ -135,7 +135,7 @@ Result<TreePlan> PlanTree(const Database& db, const MoleculeDescription& md) {
 /// Builds the nested tuple for `atom` at `node_idx` of one molecule,
 /// duplicating shared children per parent (NF² has no sharing).
 Result<std::vector<Nf2Value>> BuildTuple(
-    const TreePlan& plan, const MoleculeDescription& md, const Molecule& m,
+    const TreePlan& plan, const MoleculeDescription& md, MoleculeView m,
     size_t node_idx, AtomId atom_id, const Nf2ConversionOptions& options,
     Nf2ConversionStats* stats,
     std::map<std::pair<size_t, uint64_t>, int>* materialization_count) {
@@ -188,7 +188,7 @@ Result<NestedRelation> MoleculeTypeToNf2(const Database& db,
   std::map<std::pair<size_t, uint64_t>, int> materialization_count;
 
   NestedRelation out(plan.schemas[root_idx]);
-  for (const Molecule& m : mt.molecules()) {
+  for (MoleculeView m : mt.molecules()) {
     MAD_ASSIGN_OR_RETURN(
         std::vector<Nf2Value> tuple,
         BuildTuple(plan, md, m, root_idx, m.root(), options, &local,

@@ -55,7 +55,6 @@ class NestedRelation {
       : schema_(std::move(schema)) {}
 
   const Nf2Schema& schema() const { return *schema_; }
-  std::shared_ptr<const Nf2Schema> schema_ptr() const { return schema_; }
   const std::vector<std::vector<Nf2Value>>& tuples() const { return tuples_; }
   void AddTuple(std::vector<Nf2Value> tuple) {
     tuples_.push_back(std::move(tuple));

@@ -55,7 +55,6 @@ class RelationalDatabase {
   Result<const Relation*> Get(const std::string& rname) const;
   Result<Relation*> GetMutable(const std::string& rname);
   bool Has(const std::string& rname) const { return index_.count(rname) > 0; }
-  std::vector<std::string> relation_names() const { return order_; }
   size_t relation_count() const { return order_.size(); }
   size_t total_tuple_count() const;
 

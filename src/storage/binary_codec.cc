@@ -9,12 +9,11 @@ namespace mad {
 namespace {
 
 constexpr char kMagic[4] = {'M', 'A', 'D', 'B'};
-/// v1 wrote atoms row-major (id, then that atom's values); v2 writes each
-/// type's atoms column-major — all ids, then all values of slot 0, slot 1,
-/// ... — so the checkpoint layout matches the in-memory ColumnSet and loads
-/// stream one attribute at a time. The reader accepts both.
+/// v2 writes each type's atoms column-major — all ids, then all values of
+/// slot 0, slot 1, ... — so the checkpoint layout matches the in-memory
+/// ColumnSet and loads stream one attribute at a time. The row-major v1
+/// layout is no longer read.
 constexpr uint32_t kVersion = 2;
-constexpr uint32_t kMinReadVersion = 1;
 
 /// Section tags, in the order sections must appear in a checkpoint.
 enum class SectionTag : uint8_t {
@@ -351,7 +350,7 @@ Result<std::unique_ptr<Database>> DeserializeDatabaseBinary(
     return Status::ParseError("bad binary checkpoint magic");
   }
   MAD_ASSIGN_OR_RETURN(uint32_t version, in.GetFixed32());
-  if (version < kMinReadVersion || version > kVersion) {
+  if (version != kVersion) {
     return Status::ParseError("unsupported binary checkpoint version " +
                               std::to_string(version));
   }
@@ -434,23 +433,8 @@ Result<std::unique_ptr<Database>> DeserializeDatabaseBinary(
     if (auto at = db->GetMutableAtomType(atom_type_names[i]); at.ok()) {
       (*at)->mutable_occurrence().Reserve(atom_count);
     }
-    if (version == 1) {
-      // Row-major legacy layout: id, then that atom's values.
-      for (uint64_t j = 0; j < atom_count; ++j) {
-        MAD_ASSIGN_OR_RETURN(uint64_t id, atoms.GetVarint());
-        std::vector<Value> values;
-        values.reserve(arities[i]);
-        for (size_t k = 0; k < arities[i]; ++k) {
-          MAD_ASSIGN_OR_RETURN(Value v, atoms.GetValue());
-          values.push_back(std::move(v));
-        }
-        MAD_RETURN_IF_ERROR(db->InsertAtomWithId(
-            atom_type_names[i], AtomId{id}, std::move(values)));
-      }
-      continue;
-    }
-    // Columnar layout (v2): the id column, then one contiguous value run
-    // per attribute slot. Atoms materialize after the transpose.
+    // The id column, then one contiguous value run per attribute slot.
+    // Atoms materialize after the transpose.
     std::vector<uint64_t> ids;
     ids.reserve(atom_count);
     for (uint64_t j = 0; j < atom_count; ++j) {

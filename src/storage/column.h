@@ -114,7 +114,6 @@ class ColumnSet {
 
   size_t rows() const { return rows_; }
   bool regular() const { return regular_; }
-  size_t column_count() const { return columns_.size(); }
 
   /// Column for attribute slot `slot`, or nullptr when the set is irregular
   /// or the slot is out of range. A returned column may still be mixed.

@@ -1007,19 +1007,6 @@ Result<const Atom*> Database::GetAtomAt(const std::string& aname, AtomId id,
   return atom;
 }
 
-Result<Value> Database::GetAttributeAt(const std::string& aname, AtomId id,
-                                       const std::string& attribute,
-                                       const ReadView& view) const {
-  MAD_ASSIGN_OR_RETURN(const AtomType* at, GetAtomType(aname));
-  MAD_ASSIGN_OR_RETURN(size_t idx, at->description().IndexOf(attribute));
-  const Atom* atom = at->occurrence().FindVersionAt(id, view);
-  if (atom == nullptr) {
-    return Status::NotFound("atom #" + std::to_string(id.value) +
-                            " not in atom type '" + aname + "'");
-  }
-  return atom->values[idx];
-}
-
 Result<std::vector<AtomId>> Database::LookupByAttributeAt(
     const std::string& aname, const std::string& attribute, const Value& value,
     const ReadView& view) const {

@@ -364,10 +364,6 @@ class Database {
   Result<const Atom*> GetAtomAt(const std::string& aname, AtomId id,
                                 const ReadView& view) const
       MAD_REQUIRES_SHARED(mu_);
-  Result<Value> GetAttributeAt(const std::string& aname, AtomId id,
-                               const std::string& attribute,
-                               const ReadView& view) const
-      MAD_REQUIRES_SHARED(mu_);
 
   /// Atom ids of `aname` whose `attribute` equals `value` at `view`, in
   /// occurrence order. Uses the index only when the head equals the

@@ -42,7 +42,7 @@ void AppendAtomBody(const Atom& atom, size_t indent, std::string* out) {
 /// `readers[i]` reads node i's atoms; `root` is the root node's index.
 void AppendMolecule(const MoleculeDescription& md,
                     const std::vector<AtomReader>& readers, size_t root,
-                    const Molecule& molecule, size_t indent,
+                    MoleculeView molecule, size_t indent,
                     std::string* out) {
   out->append(indent, ' ');
   *out += "molecule(root=";
@@ -52,7 +52,7 @@ void AppendMolecule(const MoleculeDescription& md,
     out->append(indent + 2, ' ');
     *out += md.nodes()[i].label;
     *out += ": {";
-    const std::vector<AtomId>& atoms = molecule.AtomsOf(i);
+    const std::span<const AtomId> atoms = molecule.AtomsOf(i);
     for (size_t j = 0; j < atoms.size(); ++j) {
       if (j > 0) *out += ", ";
       readers[i].Append(atoms[j], out, indent);
@@ -61,9 +61,10 @@ void AppendMolecule(const MoleculeDescription& md,
   }
   out->append(indent + 2, ' ');
   *out += "links: {";
-  for (size_t j = 0; j < molecule.links().size(); ++j) {
+  const std::span<const MoleculeLink> links = molecule.links();
+  for (size_t j = 0; j < links.size(); ++j) {
     if (j > 0) *out += ", ";
-    const MoleculeLink& link = molecule.links()[j];
+    const MoleculeLink& link = links[j];
     *out += "<#";
     AppendUint(link.parent.value, out);
     *out += ", #";
@@ -194,7 +195,7 @@ std::string FormatErDiagram(const er::ErSchema& er) {
 }
 
 std::string FormatMolecule(const Database& db, const MoleculeDescription& md,
-                           const Molecule& molecule) {
+                           MoleculeView molecule) {
   std::string out;
   AppendMolecule(md, NodeReaders(db, md, std::nullopt),
                  *md.NodeIndex(md.root_label()), molecule, 0, &out);

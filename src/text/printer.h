@@ -60,7 +60,7 @@ std::string FormatAtom(const Database& db, const std::string& type_name,
 /// Fig. 2 style: one molecule — per description node the atoms, then the
 /// component links. Reads the head.
 std::string FormatMolecule(const Database& db, const MoleculeDescription& md,
-                           const Molecule& molecule);
+                           MoleculeView molecule);
 
 /// Fig. 2 style: a molecule type — structure line plus up to
 /// `max_molecules` molecules of the set, each indented by four spaces —

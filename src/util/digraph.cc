@@ -29,10 +29,6 @@ Status Digraph::AddEdge(const std::string& label, const std::string& from,
   return Status::OK();
 }
 
-bool Digraph::HasNode(const std::string& name) const {
-  return node_index_.count(name) > 0;
-}
-
 std::vector<const Digraph::Edge*> Digraph::OutEdges(
     const std::string& node) const {
   std::vector<const Edge*> result;

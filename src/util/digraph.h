@@ -31,7 +31,6 @@ class Digraph {
   Status AddEdge(const std::string& label, const std::string& from,
                  const std::string& to);
 
-  bool HasNode(const std::string& name) const;
   size_t node_count() const { return nodes_.size(); }
   size_t edge_count() const { return edges_.size(); }
   const std::vector<std::string>& nodes() const { return nodes_; }

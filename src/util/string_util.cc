@@ -61,33 +61,6 @@ bool EqualsIgnoreCase(std::string_view a, std::string_view b) {
   return true;
 }
 
-std::string ToLower(std::string_view text) {
-  std::string out(text);
-  for (char& c : out) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-  return out;
-}
-
-bool IsIdentifier(std::string_view text) {
-  if (text.empty()) return false;
-  auto head = static_cast<unsigned char>(text[0]);
-  if (!std::isalpha(head) && head != '_') return false;
-  for (size_t i = 1; i < text.size(); ++i) {
-    auto c = static_cast<unsigned char>(text[i]);
-    if (!std::isalnum(c) && c != '_') return false;
-  }
-  return true;
-}
-
-std::string QuoteString(std::string_view text) {
-  std::string out = "'";
-  for (char c : text) {
-    out += c;
-    if (c == '\'') out += '\'';
-  }
-  out += '\'';
-  return out;
-}
-
 namespace {
 
 // strerror_r comes in two flavours; overload resolution normalizes either

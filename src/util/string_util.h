@@ -25,15 +25,6 @@ std::string_view StripWhitespace(std::string_view text);
 /// Case-insensitive ASCII equality (used for MQL keywords).
 bool EqualsIgnoreCase(std::string_view a, std::string_view b);
 
-/// Lower-cases ASCII characters.
-std::string ToLower(std::string_view text);
-
-/// True iff `text` is a valid identifier: [A-Za-z_][A-Za-z0-9_]*.
-bool IsIdentifier(std::string_view text);
-
-/// Quotes a string for display: abc -> 'abc', with ' doubled.
-std::string QuoteString(std::string_view text);
-
 /// The system error message for `errno_value`, like std::strerror but
 /// thread-safe (strerror_r under the hood; std::strerror may return a
 /// pointer into static storage rewritten by a concurrent caller).

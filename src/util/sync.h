@@ -79,7 +79,6 @@ class MAD_CAPABILITY("mutex") Mutex {
 
   void Lock() MAD_ACQUIRE() { mu_.lock(); }
   void Unlock() MAD_RELEASE() { mu_.unlock(); }
-  bool TryLock() MAD_TRY_ACQUIRE(true) { return mu_.try_lock(); }
 
   /// Escape hatch: tells the analysis this thread holds the mutex when the
   /// acquisition happened somewhere it cannot see. Runtime no-op.
@@ -99,11 +98,9 @@ class MAD_CAPABILITY("shared_mutex") SharedMutex {
 
   void Lock() MAD_ACQUIRE() { mu_.lock(); }
   void Unlock() MAD_RELEASE() { mu_.unlock(); }
-  bool TryLock() MAD_TRY_ACQUIRE(true) { return mu_.try_lock(); }
 
   void LockShared() MAD_ACQUIRE_SHARED() { mu_.lock_shared(); }
   void UnlockShared() MAD_RELEASE_SHARED() { mu_.unlock_shared(); }
-  bool TryLockShared() MAD_TRY_ACQUIRE(true) { return mu_.try_lock_shared(); }
 
   /// Escape hatches for acquisitions behind an interface boundary (e.g. a
   /// store accessor documented as "caller holds the Database lock").

@@ -7,6 +7,7 @@
 
 #include "molecule/derivation.h"
 #include "storage/serializer.h"
+#include "support/canonical_key.h"
 #include "util/crc32.h"
 #include "workload/bom.h"
 #include "workload/geo.h"
@@ -97,9 +98,9 @@ TEST(BinaryCodecTest, ReserializationIsBitIdentical) {
   EXPECT_EQ(*bytes, *again) << "deterministic serialization contract";
 }
 
-TEST(BinaryCodecTest, ReadsLegacyRowMajorV1Checkpoints) {
-  // Hand-build a v1 image (version word 1, atoms row-major) and check the
-  // reader still accepts it; v2 is what the writer now produces.
+TEST(BinaryCodecTest, RejectsRowMajorV1Checkpoints) {
+  // Hand-build a v1 image (version word 1, atoms row-major): the reader
+  // reads only the columnar v2 layout the writer produces.
   std::string image;
   image.append("MADB", 4);
   {
@@ -158,20 +159,12 @@ TEST(BinaryCodecTest, ReadsLegacyRowMajorV1Checkpoints) {
   append_section(6, ByteWriter());
 
   auto restored = DeserializeDatabaseBinary(image);
-  ASSERT_TRUE(restored.ok()) << restored.status();
-  EXPECT_EQ((*restored)->name(), "V1_DB");
-  EXPECT_EQ((*restored)->total_atom_count(), 2u);
-  auto v = (*restored)->GetAttribute("t", AtomId{2}, "n");
-  ASSERT_TRUE(v.ok());
-  EXPECT_EQ(v->AsInt64(), 20);
-  EXPECT_TRUE((*restored)->CheckConsistency().ok());
-  // Re-serializing a v1 load produces the current (v2, columnar) format.
-  auto again = SerializeDatabaseBinary(**restored);
-  ASSERT_TRUE(again.ok());
-  EXPECT_NE(*again, image);
-  auto round = DeserializeDatabaseBinary(*again);
-  ASSERT_TRUE(round.ok());
-  EXPECT_EQ((*round)->total_atom_count(), 2u);
+  ASSERT_FALSE(restored.ok());
+  EXPECT_EQ(restored.status().code(), StatusCode::kParseError);
+  EXPECT_NE(restored.status().message().find(
+                "unsupported binary checkpoint version 1"),
+            std::string::npos)
+      << restored.status();
 }
 
 TEST(BinaryCodecTest, AtomIdCounterSurvivesDeletionOfHighestId) {
@@ -271,7 +264,8 @@ TEST(BinaryCodecTest, CloneDatabaseDerivesIdenticalMolecules) {
   ASSERT_TRUE(rederived.ok());
   ASSERT_EQ(original->size(), rederived->size());
   for (size_t i = 0; i < original->size(); ++i) {
-    EXPECT_EQ((*original)[i].CanonicalKey(), (*rederived)[i].CanonicalKey());
+    EXPECT_EQ(reference::CanonicalKey((*original)[i]),
+              reference::CanonicalKey((*rederived)[i]));
   }
 }
 

@@ -407,7 +407,7 @@ TEST_F(CompileTest, DifferentialRandomPredicatesAndMolecules) {
     Molecule variant(m.root(), m.node_count());
     for (size_t n = 0; n < m.node_count(); ++n) {
       for (AtomId id : m.AtomsOf(n)) {
-        if (rng() % 3 != 0) variant.MutableAtomsOf(n).push_back(id);
+        if (rng() % 3 != 0) variant.AddAtom(n, id);
       }
     }
     set.push_back(std::move(variant));

@@ -39,7 +39,7 @@ class CountTest : public ::testing::Test {
     const AtomType* at =
         *db_.GetAtomType(mt.description().root_node().type_name);
     size_t idx = *at->description().IndexOf("name");
-    for (const Molecule& m : mt.molecules()) {
+    for (MoleculeView m : mt.molecules()) {
       names.insert(at->occurrence().Find(m.root())->values[idx].AsString());
     }
     return names;
@@ -77,7 +77,7 @@ TEST_F(CountTest, RestrictByComponentCount) {
   ASSERT_TRUE(inland.ok());
   EXPECT_GT(inland->size(), 0u);
   size_t river_idx = *pn_->description().NodeIndex("river");
-  for (const Molecule& m : inland->molecules()) {
+  for (MoleculeView m : inland->molecules()) {
     EXPECT_TRUE(m.AtomsOf(river_idx).empty());
   }
 }

@@ -18,6 +18,7 @@
 
 #include "molecule/derivation.h"
 #include "molecule/description.h"
+#include "support/molecule_validator.h"
 #include "workload/bom.h"
 #include "workload/geo.h"
 
@@ -25,13 +26,13 @@ namespace mad {
 namespace {
 
 /// Order-sensitive equality, stricter than Molecule::operator== (which is
-/// set-semantic via CanonicalKey).
+/// set-semantic).
 bool ExactlyEqual(const Molecule& a, const Molecule& b) {
   if (a.root() != b.root() || a.node_count() != b.node_count()) return false;
   for (size_t i = 0; i < a.node_count(); ++i) {
-    if (a.AtomsOf(i) != b.AtomsOf(i)) return false;
+    if (!std::ranges::equal(a.AtomsOf(i), b.AtomsOf(i))) return false;
   }
-  return a.links() == b.links();
+  return std::ranges::equal(a.links(), b.links());
 }
 
 void ExpectValidMolecules(const Database& db, const MoleculeDescription& md) {

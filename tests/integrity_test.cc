@@ -8,6 +8,7 @@
 #include <random>
 
 #include "molecule/derivation.h"
+#include "support/molecule_validator.h"
 #include "util/string_util.h"
 #include "workload/geo.h"
 

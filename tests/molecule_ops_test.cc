@@ -7,6 +7,8 @@
 
 #include "molecule/derivation.h"
 #include "molecule/propagation.h"
+#include "support/canonical_key.h"
+#include "support/molecule_validator.h"
 #include "workload/geo.h"
 
 namespace mad {
@@ -48,7 +50,7 @@ class MoleculeOpsTest : public ::testing::Test {
     const AtomType* at =
         *db_.GetAtomType(mt.description().root_node().type_name);
     size_t idx = *at->description().IndexOf("name");
-    for (const Molecule& m : mt.molecules()) {
+    for (MoleculeView m : mt.molecules()) {
       names.insert(at->occurrence().Find(m.root())->values[idx].AsString());
     }
     return names;
@@ -156,9 +158,9 @@ TEST_F(MoleculeOpsTest, ProjectDropsBranch) {
   EXPECT_EQ(result->description().root_label(), "point");
   EXPECT_EQ(result->size(), pn_->size());
   // Molecules lost their net/river atoms but kept everything else.
-  const Molecule* pn_mol = nullptr;
-  for (const Molecule& m : result->molecules()) {
-    if (m.root() == ids_.points["pn"]) pn_mol = &m;
+  std::unique_ptr<Molecule> pn_mol;
+  for (MoleculeView m : result->molecules()) {
+    if (m.root() == ids_.points["pn"]) pn_mol = std::make_unique<Molecule>(m);
   }
   ASSERT_NE(pn_mol, nullptr);
   EXPECT_EQ(pn_mol->atom_count(), 1u + 4u + 4u + 4u);
@@ -255,15 +257,19 @@ TEST_F(MoleculeOpsTest, IntersectionMatchesPaperRecipe) {
   ASSERT_TRUE(psi.ok());
 
   std::unordered_set<std::string> right_keys;
-  for (const Molecule& m : touching->molecules()) {
-    right_keys.insert(m.CanonicalKey());
+  for (MoleculeView m : touching->molecules()) {
+    right_keys.insert(reference::CanonicalKey(m));
   }
   std::set<std::string> naive;
-  for (const Molecule& m : big->molecules()) {
-    if (right_keys.count(m.CanonicalKey()) > 0) naive.insert(m.CanonicalKey());
+  for (MoleculeView m : big->molecules()) {
+    if (right_keys.count(reference::CanonicalKey(m)) > 0) {
+      naive.insert(reference::CanonicalKey(m));
+    }
   }
   std::set<std::string> psi_keys;
-  for (const Molecule& m : psi->molecules()) psi_keys.insert(m.CanonicalKey());
+  for (MoleculeView m : psi->molecules()) {
+    psi_keys.insert(reference::CanonicalKey(m));
+  }
   EXPECT_EQ(psi_keys, naive);
 }
 
@@ -289,7 +295,7 @@ TEST_F(MoleculeOpsTest, CartesianProductCouplesMolecules) {
   EXPECT_TRUE(x->description().HasLabel("state#2"));
 
   // Every product molecule is a valid molecule over the enlarged database.
-  for (const Molecule& m : x->molecules()) {
+  for (MoleculeView m : x->molecules()) {
     EXPECT_TRUE(ValidateMolecule(db_, x->description(), m).ok());
   }
 
@@ -367,11 +373,13 @@ TEST_F(MoleculeOpsTest, Theorem2RederivationAfterPropagation) {
   auto rederived = DeriveMolecules(db_, prop->description());
   ASSERT_TRUE(rederived.ok());
   std::set<std::string> original_keys;
-  for (const Molecule& m : prop->molecules()) {
-    original_keys.insert(m.CanonicalKey());
+  for (MoleculeView m : prop->molecules()) {
+    original_keys.insert(reference::CanonicalKey(m));
   }
   std::set<std::string> rederived_keys;
-  for (const Molecule& m : *rederived) rederived_keys.insert(m.CanonicalKey());
+  for (const Molecule& m : *rederived) {
+    rederived_keys.insert(reference::CanonicalKey(m));
+  }
   EXPECT_EQ(original_keys, rederived_keys);
 }
 
@@ -388,8 +396,8 @@ TEST_F(MoleculeOpsTest, Theorem2HoldsForEveryRestrictionOfPointNeighborhood) {
     auto rederived = DeriveMolecules(db_, prop->description());
     ASSERT_TRUE(rederived.ok());
     ASSERT_EQ(rederived->size(), 1u);
-    EXPECT_EQ((*rederived)[0].CanonicalKey(),
-              prop->molecules()[0].CanonicalKey())
+    EXPECT_EQ(reference::CanonicalKey((*rederived)[0]),
+              reference::CanonicalKey(prop->molecules()[0]))
         << pname;
   }
 }

@@ -3,11 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <set>
 
 #include "algebra/atom_algebra.h"
 #include "expr/expr.h"
 #include "molecule/description.h"
+#include "support/canonical_key.h"
+#include "support/molecule_validator.h"
 #include "util/string_util.h"
 #include "workload/geo.h"
 
@@ -59,9 +62,9 @@ class MoleculeTest : public ::testing::Test {
     return names;
   }
 
-  const Molecule* FindByRoot(const std::vector<Molecule>& mv, AtomId root) {
-    for (const Molecule& m : mv) {
-      if (m.root() == root) return &m;
+  std::unique_ptr<Molecule> FindByRoot(const MoleculeSet& mv, AtomId root) {
+    for (MoleculeView m : mv) {
+      if (m.root() == root) return std::make_unique<Molecule>(m);
     }
     return nullptr;
   }
@@ -162,7 +165,7 @@ TEST_F(MoleculeTest, MtStateDerivesOneMoleculePerState) {
   auto mt = DefineMoleculeType(db_, "mt_state", MtState());
   ASSERT_TRUE(mt.ok()) << mt.status();
   EXPECT_EQ(mt->size(), 10u);
-  for (const Molecule& m : mt->molecules()) {
+  for (MoleculeView m : mt->molecules()) {
     EXPECT_TRUE(ValidateMolecule(db_, mt->description(), m).ok());
   }
 }
@@ -170,7 +173,7 @@ TEST_F(MoleculeTest, MtStateDerivesOneMoleculePerState) {
 TEST_F(MoleculeTest, SpMoleculeMatchesFigure2) {
   auto mt = DefineMoleculeType(db_, "mt_state", MtState());
   ASSERT_TRUE(mt.ok());
-  const Molecule* sp = FindByRoot(mt->molecules(), ids_.states["SP"]);
+  std::unique_ptr<Molecule> sp = FindByRoot(mt->molecules(), ids_.states["SP"]);
   ASSERT_NE(sp, nullptr);
   EXPECT_EQ(NamesOf(*sp, mt->description(), "state"),
             std::set<std::string>{"SP"});
@@ -186,8 +189,8 @@ TEST_F(MoleculeTest, SpAndMgMoleculesShareSubobjects) {
   // Fig. 2 lower part: the SP and MG molecules overlap (shared subobjects).
   auto mt = DefineMoleculeType(db_, "mt_state", MtState());
   ASSERT_TRUE(mt.ok());
-  const Molecule* sp = FindByRoot(mt->molecules(), ids_.states["SP"]);
-  const Molecule* mg = FindByRoot(mt->molecules(), ids_.states["MG"]);
+  std::unique_ptr<Molecule> sp = FindByRoot(mt->molecules(), ids_.states["SP"]);
+  std::unique_ptr<Molecule> mg = FindByRoot(mt->molecules(), ids_.states["MG"]);
   ASSERT_NE(sp, nullptr);
   ASSERT_NE(mg, nullptr);
   size_t point_idx = *mt->description().NodeIndex("point");
@@ -201,7 +204,7 @@ TEST_F(MoleculeTest, PointNeighborhoodMatchesFigure2) {
   ASSERT_TRUE(mt.ok()) << mt.status();
   EXPECT_EQ(mt->size(), 12u);  // one molecule per point
 
-  const Molecule* pn = FindByRoot(mt->molecules(), ids_.points["pn"]);
+  std::unique_ptr<Molecule> pn = FindByRoot(mt->molecules(), ids_.points["pn"]);
   ASSERT_NE(pn, nullptr);
   EXPECT_EQ(NamesOf(*pn, mt->description(), "edge"),
             (std::set<std::string>{"e1", "e2", "e3", "e4"}));
@@ -291,25 +294,27 @@ TEST_F(MoleculeTest, ConjunctiveDiamondSemantics) {
 
 TEST_F(MoleculeTest, CanonicalKeyIsOrderInsensitive) {
   Molecule a(AtomId{1}, 2);
-  a.MutableAtomsOf(0).push_back(AtomId{1});
-  a.MutableAtomsOf(1) = {AtomId{5}, AtomId{3}};
+  a.AddAtom(0, AtomId{1});
+  a.AddAtom(1, AtomId{5});
+  a.AddAtom(1, AtomId{3});
   a.AddLink({0, AtomId{1}, AtomId{5}});
   a.AddLink({0, AtomId{1}, AtomId{3}});
 
   Molecule b(AtomId{1}, 2);
-  b.MutableAtomsOf(0).push_back(AtomId{1});
-  b.MutableAtomsOf(1) = {AtomId{3}, AtomId{5}};
+  b.AddAtom(0, AtomId{1});
+  b.AddAtom(1, AtomId{3});
+  b.AddAtom(1, AtomId{5});
   b.AddLink({0, AtomId{1}, AtomId{3}});
   b.AddLink({0, AtomId{1}, AtomId{5}});
 
-  EXPECT_EQ(a.CanonicalKey(), b.CanonicalKey());
+  EXPECT_EQ(reference::CanonicalKey(a), reference::CanonicalKey(b));
   EXPECT_EQ(a, b);
 
   Molecule c(AtomId{1}, 2);
-  c.MutableAtomsOf(0).push_back(AtomId{1});
-  c.MutableAtomsOf(1) = {AtomId{3}};
+  c.AddAtom(0, AtomId{1});
+  c.AddAtom(1, AtomId{3});
   c.AddLink({0, AtomId{1}, AtomId{3}});
-  EXPECT_NE(a.CanonicalKey(), c.CanonicalKey());
+  EXPECT_NE(reference::CanonicalKey(a), reference::CanonicalKey(c));
 }
 
 TEST_F(MoleculeTest, ValidateMoleculeRejectsCorruption) {
@@ -319,7 +324,7 @@ TEST_F(MoleculeTest, ValidateMoleculeRejectsCorruption) {
 
   // Foreign atom injected into a node group.
   Molecule bad = *m;
-  bad.MutableAtomsOf(*md.NodeIndex("area")).push_back(ids_.areas["a1"]);
+  bad.AddAtom(*md.NodeIndex("area"), ids_.areas["a1"]);
   EXPECT_FALSE(ValidateMolecule(db_, md, bad).ok());
 
   // Fabricated link not present in the database.
@@ -343,7 +348,7 @@ TEST_F(MoleculeTest, DerivationOverDerivedAtomTypesViaInheritedLinks) {
   auto mt = DefineMoleculeType(db_, "big_mols", *md);
   ASSERT_TRUE(mt.ok());
   EXPECT_EQ(mt->size(), 3u);  // BA, MS, RS
-  for (const Molecule& m : mt->molecules()) {
+  for (MoleculeView m : mt->molecules()) {
     EXPECT_EQ(m.atom_count(), 2u);  // state + its area
   }
 }

@@ -238,7 +238,7 @@ class MqlSessionTest : public ::testing::Test {
     const MoleculeType& mt = *result.molecules;
     const AtomType* at = *db_.GetAtomType(mt.description().root_node().type_name);
     size_t idx = *at->description().IndexOf("name");
-    for (const Molecule& m : mt.molecules()) {
+    for (MoleculeView m : mt.molecules()) {
       names.insert(at->occurrence().Find(m.root())->values[idx].AsString());
     }
     return names;
@@ -283,7 +283,7 @@ TEST_F(MqlSessionTest, PaperExample2PointNeighborhood) {
       "WHERE point.name = 'pn';");
   ASSERT_TRUE(result.ok()) << result.status();
   ASSERT_EQ(result->molecules->size(), 1u);
-  const Molecule& m = result->molecules->molecules()[0];
+  MoleculeView m = result->molecules->molecules()[0];
   EXPECT_EQ(m.root(), ids_.points["pn"]);
   // The molecule reaches SP, MS, MG, GO and the river Parana (Fig. 2).
   size_t state_idx = *result->molecules->description().NodeIndex("state");

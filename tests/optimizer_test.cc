@@ -11,6 +11,7 @@
 #include "mql/parser.h"
 #include "mql/session.h"
 #include "mql/translator.h"
+#include "support/canonical_key.h"
 #include "workload/geo.h"
 
 namespace mad {
@@ -167,7 +168,9 @@ TEST_F(OptimizerTest, IndexSeedRequiresIndexAndRootEquality) {
 std::vector<std::string> Keys(const MoleculeType& mt) {
   std::vector<std::string> keys;
   keys.reserve(mt.size());
-  for (const Molecule& m : mt.molecules()) keys.push_back(m.CanonicalKey());
+  for (MoleculeView m : mt.molecules()) {
+    keys.push_back(reference::CanonicalKey(m));
+  }
   return keys;
 }
 

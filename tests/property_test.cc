@@ -14,6 +14,8 @@
 #include "molecule/propagation.h"
 #include "molecule/recursive.h"
 #include "storage/serializer.h"
+#include "support/canonical_key.h"
+#include "support/molecule_validator.h"
 #include "workload/bom.h"
 #include "workload/geo.h"
 
@@ -23,13 +25,16 @@ namespace {
 
 std::set<std::string> Keys(const MoleculeType& mt) {
   std::set<std::string> keys;
-  for (const Molecule& m : mt.molecules()) keys.insert(m.CanonicalKey());
+  for (MoleculeView m : mt.molecules()) {
+    keys.insert(reference::CanonicalKey(m));
+  }
   return keys;
 }
 
-std::set<std::string> Keys(const std::vector<Molecule>& mv) {
+template <typename Molecules>
+std::set<std::string> Keys(const Molecules& mv) {
   std::set<std::string> keys;
-  for (const Molecule& m : mv) keys.insert(m.CanonicalKey());
+  for (MoleculeView m : mv) keys.insert(reference::CanonicalKey(m));
   return keys;
 }
 
@@ -84,13 +89,13 @@ TEST_P(MoleculeLawTest, DerivationIsDeterministic) {
 TEST_P(MoleculeLawTest, OneMoleculePerRootAtom) {
   EXPECT_EQ(mt_->size(), (*db_->GetAtomType("state"))->occurrence().size());
   std::unordered_set<AtomId> roots;
-  for (const Molecule& m : mt_->molecules()) {
+  for (MoleculeView m : mt_->molecules()) {
     EXPECT_TRUE(roots.insert(m.root()).second) << "duplicate root molecule";
   }
 }
 
 TEST_P(MoleculeLawTest, EveryDerivedMoleculeValidates) {
-  for (const Molecule& m : mt_->molecules()) {
+  for (MoleculeView m : mt_->molecules()) {
     ASSERT_TRUE(ValidateMolecule(*db_, mt_->description(), m).ok());
   }
 }
@@ -208,7 +213,7 @@ TEST_P(MoleculeLawTest, CountQualificationConsistentWithGroupSizes) {
   // has >= k atoms, for every k up to the maximum.
   size_t point_idx = *mt_->description().NodeIndex("point");
   size_t max_points = 0;
-  for (const Molecule& m : mt_->molecules()) {
+  for (MoleculeView m : mt_->molecules()) {
     max_points = std::max(max_points, m.AtomsOf(point_idx).size());
   }
   for (size_t k = 0; k <= max_points + 1; ++k) {
@@ -217,7 +222,7 @@ TEST_P(MoleculeLawTest, CountQualificationConsistentWithGroupSizes) {
         e::Ge(e::Count("point"), e::Lit(static_cast<int64_t>(k))), "c");
     ASSERT_TRUE(result.ok());
     size_t expected = 0;
-    for (const Molecule& m : mt_->molecules()) {
+    for (MoleculeView m : mt_->molecules()) {
       if (m.AtomsOf(point_idx).size() >= k) ++expected;
     }
     EXPECT_EQ(result->size(), expected) << "k=" << k;

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "molecule/recursive.h"
 #include "mql/session.h"
 #include "support/expansion_oracle.h"
@@ -112,7 +114,7 @@ TEST_F(ExpansionTest, MqlExpansionTail) {
   size_t supplier_idx =
       *result->expansion_description->NodeIndex("supplier");
   bool found_bolt = false;
-  for (const Molecule& component : result->recursive_components[0]) {
+  for (MoleculeView component : result->recursive_components[0]) {
     if (component.root() == ids_["bolt"]) {
       EXPECT_EQ(component.AtomsOf(supplier_idx).size(), 2u);
       found_bolt = true;
@@ -140,17 +142,19 @@ TEST_F(ExpansionTest, MqlExpansionMatchesOracleForEveryRoot) {
     EXPECT_EQ(closure.root(), want.closure.root()) << "closure " << i;
     EXPECT_EQ(closure.levels(), want.closure.levels()) << "closure " << i;
     EXPECT_EQ(closure.links(), want.closure.links()) << "closure " << i;
-    const std::vector<Molecule>& components = result->recursive_components[i];
+    const MoleculeSet& components = result->recursive_components[i];
     ASSERT_EQ(components.size(), want.components.size()) << "closure " << i;
     for (size_t j = 0; j < components.size(); ++j) {
-      const Molecule& got = components[j];
+      MoleculeView got = components[j];
       const Molecule& expected = want.components[j];
       EXPECT_EQ(got.root(), expected.root()) << i << "/" << j;
       ASSERT_EQ(got.node_count(), expected.node_count()) << i << "/" << j;
       for (size_t n = 0; n < got.node_count(); ++n) {
-        EXPECT_EQ(got.AtomsOf(n), expected.AtomsOf(n)) << i << "/" << j;
+        EXPECT_TRUE(std::ranges::equal(got.AtomsOf(n), expected.AtomsOf(n)))
+            << i << "/" << j;
       }
-      EXPECT_EQ(got.links(), expected.links()) << i << "/" << j;
+      EXPECT_TRUE(std::ranges::equal(got.links(), expected.links()))
+          << i << "/" << j;
     }
   }
 }

@@ -7,6 +7,7 @@
 #include <limits>
 
 #include "molecule/derivation.h"
+#include "support/canonical_key.h"
 #include "workload/bom.h"
 #include "workload/geo.h"
 
@@ -63,7 +64,8 @@ TEST(SerializerTest, RestoredDatabaseDerivesIdenticalMolecules) {
 
   ASSERT_EQ(original->size(), rederived->size());
   for (size_t i = 0; i < original->size(); ++i) {
-    EXPECT_EQ((*original)[i].CanonicalKey(), (*rederived)[i].CanonicalKey());
+    EXPECT_EQ(reference::CanonicalKey((*original)[i]),
+              reference::CanonicalKey((*rederived)[i]));
   }
 }
 

@@ -48,7 +48,7 @@ TEST_F(SessionMiscTest, CityIsAPointLikeObject) {
   ASSERT_TRUE(result.ok()) << result.status();
   ASSERT_EQ(result->molecules->size(), 1u);
   const MoleculeDescription& md = result->molecules->description();
-  const Molecule& m = result->molecules->molecules()[0];
+  MoleculeView m = result->molecules->molecules()[0];
   size_t state_idx = *md.NodeIndex("state");
   ASSERT_EQ(m.AtomsOf(state_idx).size(), 1u);
   EXPECT_EQ(m.AtomsOf(state_idx)[0], ids_.states["GO"]);

@@ -49,7 +49,7 @@ std::string Canonical(const QueryResult& result) {
   if (result.molecules == nullptr) return "<no molecules>";
   std::string out;
   auto id = [&out](AtomId atom) { out.append(std::to_string(atom.value)); };
-  for (const Molecule& m : result.molecules->molecules()) {
+  for (MoleculeView m : result.molecules->molecules()) {
     out.append("#");
     id(m.root());
     out.append(" [");
@@ -285,6 +285,26 @@ TEST_F(SnapshotReuseTest, DroppedAndRedefinedTypeIsSeen) {
        "INSERT LINK [edge-point] FROM (name = 'e1') TO (name = 'q1');"
        "INSERT LINK [edge-point] FROM (name = 'e2') TO (name = 'q2');");
   ExpectMatchesFresh(session, "after dropping and redefining point");
+}
+
+TEST_F(SnapshotReuseTest, DescriptionsOfOtherSizesShareTheScratch) {
+  // One session assembles every SELECT's molecules in the same scratch
+  // set, on its kept snapshot or on a fresh engine, whatever the
+  // description's node count; each answer must still match a fresh
+  // session's.
+  const char* const queries[] = {
+      kQueries[0], "SELECT ALL FROM state-area;", kQueries[3],
+      "SELECT ALL FROM area-edge;", kQueries[5], kQueries[0]};
+  Session session(&db_);
+  for (const char* query : queries) {
+    Session fresh(&db_);
+    EXPECT_EQ(Select(session, query), Select(fresh, query)) << query;
+  }
+  Exec(session, "UPDATE state SET hectare = 10 WHERE name = 'BA';");
+  for (const char* query : queries) {
+    Session fresh(&db_);
+    EXPECT_EQ(Select(session, query), Select(fresh, query)) << query;
+  }
 }
 
 TEST_F(SnapshotReuseTest, OpenSwitchesDatabases) {

@@ -36,12 +36,12 @@ Result<MoleculeQualifier> MoleculeQualifier::Create(
   return q;
 }
 
-Result<bool> MoleculeQualifier::Matches(const Molecule& molecule) const {
+Result<bool> MoleculeQualifier::Matches(MoleculeView molecule) const {
   return EvalBoolean(*resolved_, molecule);
 }
 
 Result<bool> MoleculeQualifier::EvalResolved(const expr::Expr& expr,
-                                             const Molecule& molecule) const {
+                                             MoleculeView molecule) const {
   return EvalBoolean(expr, molecule);
 }
 
@@ -57,7 +57,7 @@ Result<const std::pair<size_t, const Schema*>*> MoleculeQualifier::FindLabel(
 }
 
 Result<bool> MoleculeQualifier::EvalBoolean(const expr::Expr& expr,
-                                            const Molecule& molecule) const {
+                                            MoleculeView molecule) const {
   switch (expr.kind()) {
     case Expr::Kind::kAnd: {
       MAD_ASSIGN_OR_RETURN(bool lhs, EvalBoolean(*expr.left(), molecule));
@@ -81,7 +81,7 @@ Result<bool> MoleculeQualifier::EvalBoolean(const expr::Expr& expr,
 }
 
 Result<expr::ExprPtr> MoleculeQualifier::SubstituteCounts(
-    const expr::Expr& node, const Molecule& molecule) const {
+    const expr::Expr& node, MoleculeView molecule) const {
   switch (node.kind()) {
     case Expr::Kind::kCount: {
       MAD_ASSIGN_OR_RETURN(const auto* info, FindLabel(node.qualifier()));
@@ -136,7 +136,7 @@ Result<expr::ExprPtr> MoleculeQualifier::SubstituteCounts(
 }
 
 Result<bool> MoleculeQualifier::EvalForAll(const expr::Expr& expr,
-                                           const Molecule& molecule) const {
+                                           MoleculeView molecule) const {
   MAD_ASSIGN_OR_RETURN(const auto* info, FindLabel(expr.qualifier()));
   const auto& [node_idx, schema] = *info;
   MAD_ASSIGN_OR_RETURN(expr::ExprPtr inner,
@@ -157,7 +157,7 @@ Result<bool> MoleculeQualifier::EvalForAll(const expr::Expr& expr,
 }
 
 Result<bool> MoleculeQualifier::EvalExistential(const expr::Expr& expr,
-                                                const Molecule& molecule) const {
+                                                MoleculeView molecule) const {
   // COUNT(label) nodes are molecule-level constants: substitute them first.
   if (ContainsCount(expr)) {
     MAD_ASSIGN_OR_RETURN(expr::ExprPtr substituted,

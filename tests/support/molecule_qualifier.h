@@ -36,7 +36,7 @@ class MoleculeQualifier {
                                           expr::ExprPtr predicate);
 
   /// True iff the molecule satisfies the predicate.
-  Result<bool> Matches(const Molecule& molecule) const;
+  Result<bool> Matches(MoleculeView molecule) const;
 
   /// Evaluates an *already resolved* predicate (label-qualified attribute
   /// references, COUNT/FORALL qualifiers that are node labels) over one
@@ -45,7 +45,7 @@ class MoleculeQualifier {
   /// expression need not be the one validated by Create(), so unresolved
   /// qualifiers must surface as Status errors, never as exceptions.
   Result<bool> EvalResolved(const expr::Expr& expr,
-                            const Molecule& molecule) const;
+                            MoleculeView molecule) const;
 
   /// The predicate with every attribute reference rewritten to
   /// label-qualified form.
@@ -60,15 +60,15 @@ class MoleculeQualifier {
       const std::string& label) const;
 
   Result<bool> EvalBoolean(const expr::Expr& expr,
-                           const Molecule& molecule) const;
+                           MoleculeView molecule) const;
   Result<bool> EvalExistential(const expr::Expr& expr,
-                               const Molecule& molecule) const;
+                               MoleculeView molecule) const;
   Result<bool> EvalForAll(const expr::Expr& expr,
-                          const Molecule& molecule) const;
+                          MoleculeView molecule) const;
   /// Copies `expr` with every COUNT(label) replaced by its value in
   /// `molecule`.
   Result<expr::ExprPtr> SubstituteCounts(const expr::Expr& expr,
-                                         const Molecule& molecule) const;
+                                         MoleculeView molecule) const;
 
   const Database* db_ = nullptr;
   const MoleculeDescription* md_ = nullptr;

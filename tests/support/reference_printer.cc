@@ -30,7 +30,7 @@ std::string FormatAtom(const Database& db, const std::string& type_name,
 }
 
 std::string FormatMolecule(const Database& db, const MoleculeDescription& md,
-                           const Molecule& molecule) {
+                           MoleculeView molecule) {
   std::string out = "molecule(root=" + FormatAtom(
       db, md.root_node().type_name, molecule.root()) + ")\n";
   for (size_t i = 0; i < md.nodes().size(); ++i) {
