@@ -1,6 +1,6 @@
-// ENGINE-INFRA: costs of the supporting machinery — serialization round
-// trips, database cloning, occurrence statistics, the consistency audit,
-// and cardinality-checked link insertion.
+// ENGINE-INFRA: costs of the supporting machinery — database cloning,
+// occurrence statistics, the consistency audit, and cardinality-checked
+// link insertion.
 
 #include <benchmark/benchmark.h>
 
@@ -9,14 +9,14 @@
 
 #include "molecule/derivation.h"
 #include "molecule/statistics.h"
-#include "storage/serializer.h"
+#include "storage/binary_codec.h"
 #include "workload/geo.h"
 
 namespace {
 
 const bool kHeaderPrinted = [] {
-  std::cout << "==== ENGINE-INFRA: serializer / clone / statistics / "
-               "consistency audit ====\n\n";
+  std::cout << "==== ENGINE-INFRA: clone / statistics / consistency audit "
+               "====\n\n";
   return true;
 }();
 
@@ -41,42 +41,6 @@ struct InfraFixture {
     return f;
   }
 };
-
-void BM_Serialize(benchmark::State& state) {
-  auto& f = InfraFixture::Get(state);
-  if (f.db == nullptr) return;
-  size_t bytes = 0;
-  for (auto _ : state) {
-    auto text = mad::SerializeDatabase(*f.db);
-    if (!text.ok()) {
-      state.SkipWithError(text.status().ToString().c_str());
-      return;
-    }
-    bytes = text->size();
-    benchmark::DoNotOptimize(text->data());
-  }
-  state.counters["bytes"] = static_cast<double>(bytes);
-}
-BENCHMARK(BM_Serialize)->Arg(50)->Arg(200);
-
-void BM_Deserialize(benchmark::State& state) {
-  auto& f = InfraFixture::Get(state);
-  if (f.db == nullptr) return;
-  auto text = mad::SerializeDatabase(*f.db);
-  if (!text.ok()) {
-    state.SkipWithError("serialize failed");
-    return;
-  }
-  for (auto _ : state) {
-    auto restored = mad::DeserializeDatabase(*text);
-    if (!restored.ok()) {
-      state.SkipWithError(restored.status().ToString().c_str());
-      return;
-    }
-    benchmark::DoNotOptimize(&restored);
-  }
-}
-BENCHMARK(BM_Deserialize)->Arg(50)->Arg(200);
 
 void BM_Clone(benchmark::State& state) {
   auto& f = InfraFixture::Get(state);

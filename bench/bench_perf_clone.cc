@@ -1,8 +1,6 @@
-// PERF-CLONE: database snapshot cost — the text serializer round trip the
-// seed used for CloneDatabase versus the binary checkpoint codec that now
-// backs it. Same scaled PERF-NM geo database; the binary path skips number
-// formatting/parsing and token scanning entirely, so it should win by a
-// wide margin and the gap should grow with database size.
+// PERF-CLONE: database snapshot cost — CloneDatabase and its two halves,
+// serializing to and reading back the binary checkpoint image, on the
+// scaled PERF-NM geo database.
 
 #include <benchmark/benchmark.h>
 
@@ -10,14 +8,12 @@
 #include <memory>
 
 #include "storage/binary_codec.h"
-#include "storage/serializer.h"
 #include "workload/geo.h"
 
 namespace {
 
 struct CloneFixture {
   std::unique_ptr<mad::Database> db;
-  std::string text_image;
   std::string binary_image;
   int64_t states = -1;
 
@@ -35,42 +31,18 @@ struct CloneFixture {
         state.SkipWithError(stats.status().ToString().c_str());
         return f;
       }
-      auto text = mad::SerializeDatabase(*f.db);
       auto binary = mad::SerializeDatabaseBinary(*f.db);
-      if (!text.ok() || !binary.ok()) {
+      if (!binary.ok()) {
         state.SkipWithError("serialization failed");
         return f;
       }
-      f.text_image = *std::move(text);
       f.binary_image = *std::move(binary);
     }
     return f;
   }
 };
 
-void BM_CloneTextRoundTrip(benchmark::State& state) {
-  // The pre-binary-codec CloneDatabase: text serialize + parse back.
-  auto& f = CloneFixture::Get(state);
-  if (f.db == nullptr) return;
-  for (auto _ : state) {
-    auto text = mad::SerializeDatabase(*f.db);
-    if (!text.ok()) {
-      state.SkipWithError(text.status().ToString().c_str());
-      return;
-    }
-    auto clone = mad::DeserializeDatabase(*text);
-    if (!clone.ok()) {
-      state.SkipWithError(clone.status().ToString().c_str());
-      return;
-    }
-    benchmark::DoNotOptimize(&clone);
-  }
-  state.counters["image_bytes"] = static_cast<double>(f.text_image.size());
-}
-BENCHMARK(BM_CloneTextRoundTrip)->Arg(10)->Arg(50)->Arg(200);
-
 void BM_CloneBinary(benchmark::State& state) {
-  // CloneDatabase as shipped: binary serialize + deserialize.
   auto& f = CloneFixture::Get(state);
   if (f.db == nullptr) return;
   for (auto _ : state) {
@@ -85,20 +57,6 @@ void BM_CloneBinary(benchmark::State& state) {
 }
 BENCHMARK(BM_CloneBinary)->Arg(10)->Arg(50)->Arg(200);
 
-void BM_SerializeText(benchmark::State& state) {
-  auto& f = CloneFixture::Get(state);
-  if (f.db == nullptr) return;
-  for (auto _ : state) {
-    auto text = mad::SerializeDatabase(*f.db);
-    if (!text.ok()) {
-      state.SkipWithError(text.status().ToString().c_str());
-      return;
-    }
-    benchmark::DoNotOptimize(&text);
-  }
-}
-BENCHMARK(BM_SerializeText)->Arg(50)->Arg(200);
-
 void BM_SerializeBinary(benchmark::State& state) {
   auto& f = CloneFixture::Get(state);
   if (f.db == nullptr) return;
@@ -112,20 +70,6 @@ void BM_SerializeBinary(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SerializeBinary)->Arg(50)->Arg(200);
-
-void BM_DeserializeText(benchmark::State& state) {
-  auto& f = CloneFixture::Get(state);
-  if (f.db == nullptr) return;
-  for (auto _ : state) {
-    auto db = mad::DeserializeDatabase(f.text_image);
-    if (!db.ok()) {
-      state.SkipWithError(db.status().ToString().c_str());
-      return;
-    }
-    benchmark::DoNotOptimize(&db);
-  }
-}
-BENCHMARK(BM_DeserializeText)->Arg(50)->Arg(200);
 
 void BM_DeserializeBinary(benchmark::State& state) {
   auto& f = CloneFixture::Get(state);
@@ -142,8 +86,8 @@ void BM_DeserializeBinary(benchmark::State& state) {
 BENCHMARK(BM_DeserializeBinary)->Arg(50)->Arg(200);
 
 const bool kHeaderPrinted = [] {
-  std::cout << "==== PERF-CLONE: text round trip vs binary checkpoint codec "
-               "(CloneDatabase) ====\n"
+  std::cout << "==== PERF-CLONE: binary checkpoint image (CloneDatabase) "
+               "====\n"
                "workload: scaled geo network snapshot, serialize + parse "
                "back into a fresh database\n\n";
   return true;

@@ -3,8 +3,8 @@
 //
 //   \schema          print the MAD diagram
 //   \spec            print the formal database specification (Fig. 4 style)
-//   \save <file>     serialize the database
-//   \load <file>     replace the database from a file
+//   \save <file>     write the database's binary checkpoint image
+//   \load <file>     replace the database from a checkpoint image
 //   \q               quit
 //
 // Usage:  ./build/examples/example_mql_shell            (interactive)
@@ -18,7 +18,8 @@
 #include <string>
 
 #include "mql/session.h"
-#include "storage/serializer.h"
+#include "storage/binary_codec.h"
+#include "storage/recovery.h"
 #include "text/printer.h"
 #include "util/string_util.h"
 
@@ -94,16 +95,23 @@ bool HandleMetaCommand(const std::string& line,
   } else if (cmd == "\\spec") {
     std::cout << mad::text::FormatDatabaseSpec(current);
   } else if (cmd == "\\save" && words.size() == 2) {
-    std::ofstream out(words[1]);
-    mad::Status s = out ? mad::WriteDatabase(current, out)
-                        : mad::Status::InvalidArgument("cannot open file");
-    std::cout << (s.ok() ? "saved " + words[1] : s.ToString()) << "\n";
-  } else if (cmd == "\\load" && words.size() == 2) {
-    std::ifstream in(words[1]);
-    if (!in) {
-      std::cout << "cannot open " << words[1] << "\n";
+    auto image = mad::SerializeDatabaseBinary(current);
+    std::ofstream out(words[1], std::ios::binary);
+    if (!image.ok()) {
+      std::cout << image.status() << "\n";
+    } else if (!out.write(image->data(),
+                          static_cast<std::streamsize>(image->size()))
+                    .flush()) {
+      std::cout << "cannot write " << words[1] << "\n";
     } else {
-      auto loaded = mad::ReadDatabase(in);
+      std::cout << "saved " << words[1] << "\n";
+    }
+  } else if (cmd == "\\load" && words.size() == 2) {
+    auto image = mad::ReadFileToString(words[1]);
+    if (!image.ok()) {
+      std::cout << image.status() << "\n";
+    } else {
+      auto loaded = mad::DeserializeDatabaseBinary(*image);
       if (loaded.ok()) {
         db = std::move(loaded).value();
         session = std::make_unique<mad::mql::Session>(db.get());

@@ -86,15 +86,10 @@ Result<std::vector<RecursiveMolecule>> DeriveRecursiveMolecules(
     std::optional<ReadView> view) {
   MAD_RETURN_IF_ERROR(ValidateRecursiveDescription(db, rd));
   MAD_ASSIGN_OR_RETURN(const AtomType* at, db.GetAtomType(rd.atom_type));
+  if (!view.has_value()) view = ReadView{db.current_epoch(), 0};
   std::vector<AtomId> roots;
-  if (view.has_value() && !at->occurrence().HeadVisibleAt(*view)) {
-    for (const Atom* atom : at->occurrence().SnapshotAt(*view)) {
-      roots.push_back(atom->id);
-    }
-  } else {
-    for (const Atom& atom : at->occurrence().atoms()) {
-      roots.push_back(atom.id);
-    }
+  for (const Atom* atom : at->occurrence().SnapshotAt(*view)) {
+    roots.push_back(atom->id);
   }
   ScopedSpan span("closure",
                   [&] { return rd.atom_type + " via " + rd.link_type; });

@@ -75,8 +75,8 @@ Result<RecursiveMolecule> DeriveRecursiveMoleculeFor(
     const Database& db, const RecursiveDescription& rd, AtomId root,
     std::optional<ReadView> view = std::nullopt);
 
-/// Derives one recursive molecule per atom of the root atom type (at the
-/// pinned view when one is given).
+/// Derives one recursive molecule per atom of the root atom type visible
+/// at `view`, or at the latest committed epoch when none is given.
 Result<std::vector<RecursiveMolecule>> DeriveRecursiveMolecules(
     const Database& db, const RecursiveDescription& rd,
     std::optional<ReadView> view = std::nullopt);

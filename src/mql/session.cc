@@ -487,29 +487,21 @@ Result<QueryResult> Session::RunInsertAtom(InsertAtomStatement stmt) {
 
 namespace {
 
-/// Atoms of `aname` matching `predicate` (validated up front), resolved
-/// through `view` when the head holds versions it must not see.
-Result<std::vector<AtomId>> MatchingAtoms(
-    const Database& db, const std::string& aname,
-    const expr::ExprPtr& predicate,
-    const std::optional<ReadView>& view = std::nullopt) {
+/// Atoms of `aname` visible at `view` and matching `predicate` (validated
+/// up front).
+Result<std::vector<AtomId>> MatchingAtoms(const Database& db,
+                                          const std::string& aname,
+                                          const expr::ExprPtr& predicate,
+                                          const ReadView& view) {
   MAD_ASSIGN_OR_RETURN(const AtomType* at, db.GetAtomType(aname));
   MAD_RETURN_IF_ERROR(
       expr::ValidateAgainstSchema(*predicate, aname, at->description()));
   std::vector<AtomId> matches;
-  if (view.has_value() && !at->occurrence().HeadVisibleAt(*view)) {
-    for (const Atom* atom : at->occurrence().SnapshotAt(*view)) {
-      MAD_ASSIGN_OR_RETURN(
-          bool hit,
-          expr::EvalOnAtom(*predicate, aname, at->description(), *atom));
-      if (hit) matches.push_back(atom->id);
-    }
-    return matches;
-  }
-  for (const Atom& atom : at->occurrence().atoms()) {
+  for (const Atom* atom : at->occurrence().SnapshotAt(view)) {
     MAD_ASSIGN_OR_RETURN(
-        bool hit, expr::EvalOnAtom(*predicate, aname, at->description(), atom));
-    if (hit) matches.push_back(atom.id);
+        bool hit,
+        expr::EvalOnAtom(*predicate, aname, at->description(), *atom));
+    if (hit) matches.push_back(atom->id);
   }
   return matches;
 }
@@ -585,13 +577,9 @@ Result<QueryResult> Session::RunUpdate(UpdateStatement stmt) {
     if (stmt.predicate != nullptr) {
       MAD_ASSIGN_OR_RETURN(
           targets, MatchingAtoms(*db_, stmt.atom_type, stmt.predicate, view));
-    } else if (!at->occurrence().HeadVisibleAt(view)) {
+    } else {
       for (const Atom* atom : at->occurrence().SnapshotAt(view)) {
         targets.push_back(atom->id);
-      }
-    } else {
-      for (const Atom& atom : at->occurrence().atoms()) {
-        targets.push_back(atom.id);
       }
     }
 
@@ -813,14 +801,8 @@ Result<QueryResult> Session::RunDelete(DeleteStatement stmt) {
     } else {
       MAD_ASSIGN_OR_RETURN(const AtomType* at,
                            db_->GetAtomType(stmt.atom_type));
-      if (!at->occurrence().HeadVisibleAt(view)) {
-        for (const Atom* atom : at->occurrence().SnapshotAt(view)) {
-          doomed.push_back(atom->id);
-        }
-      } else {
-        for (const Atom& atom : at->occurrence().atoms()) {
-          doomed.push_back(atom.id);
-        }
+      for (const Atom* atom : at->occurrence().SnapshotAt(view)) {
+        doomed.push_back(atom->id);
       }
     }
   }

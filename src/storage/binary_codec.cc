@@ -511,4 +511,9 @@ Result<std::unique_ptr<Database>> DeserializeDatabaseBinary(
   return db;
 }
 
+Result<std::unique_ptr<Database>> CloneDatabase(const Database& db) {
+  MAD_ASSIGN_OR_RETURN(std::string bytes, SerializeDatabaseBinary(db));
+  return DeserializeDatabaseBinary(bytes);
+}
+
 }  // namespace mad

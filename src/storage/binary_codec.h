@@ -62,8 +62,9 @@ class ByteReader {
   size_t pos_ = 0;
 };
 
-/// Binary database checkpoints. The format is a compact, CRC32-protected
-/// replacement for the line-oriented MADDB text format:
+/// Binary database checkpoints: the one database image format, written by
+/// checkpoints, `CloneDatabase` and the shell's `\save`. Compact and
+/// CRC32-protected:
 ///
 ///   magic "MADB", u32 version
 ///   section*   where section = [u8 tag][u32 payload-len][u32 crc32][payload]
@@ -84,6 +85,11 @@ Result<std::string> SerializeDatabaseBinary(const Database& db);
 /// malformed payload yields a ParseError.
 Result<std::unique_ptr<Database>> DeserializeDatabaseBinary(
     std::string_view bytes);
+
+/// Deep copy of a database — atom ids, occurrences, index definitions, and
+/// the atom-id counter included — as a round trip through the checkpoint
+/// image.
+Result<std::unique_ptr<Database>> CloneDatabase(const Database& db);
 
 }  // namespace mad
 

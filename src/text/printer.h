@@ -105,9 +105,10 @@ std::string FormatEpochStats(const EpochStats& stats,
 
 /// The operator span tree of one traced statement, indented by nesting:
 ///
-///   select  0.81 ms  [t0]  rows out 5
-///     derive (1 thread)  0.52 ms  [t0]  10 -> 5
-///     sigma [point.name = 'pn']  0.11 ms  [t0]  5 -> 1
+///   trace: 3 spans, total 135.5 us
+///     select  133.8 us  [t0]  rows out 1
+///       sigma [(a.tag = 'p')]  44.3 us  [t0]  2 -> 1
+///         derive [5 atoms admitted]  19.7 us  [t0]  2 -> 1
 ///
 /// Long runs of same-named siblings (e.g. thousands of wal.append spans)
 /// are collapsed into the first occurrence plus an aggregate line.

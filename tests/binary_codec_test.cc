@@ -6,7 +6,6 @@
 #include <limits>
 
 #include "molecule/derivation.h"
-#include "storage/serializer.h"
 #include "support/canonical_key.h"
 #include "util/crc32.h"
 #include "workload/bom.h"
@@ -169,6 +168,7 @@ TEST(BinaryCodecTest, RejectsRowMajorV1Checkpoints) {
 
 TEST(BinaryCodecTest, AtomIdCounterSurvivesDeletionOfHighestId) {
   Database db("ids");
+  // An atom type with no attributes round-trips too.
   ASSERT_TRUE(db.DefineAtomType("t", Schema()).ok());
   auto a = db.InsertAtom("t", {});
   auto b = db.InsertAtom("t", {});
@@ -179,7 +179,9 @@ TEST(BinaryCodecTest, AtomIdCounterSurvivesDeletionOfHighestId) {
   auto bytes = SerializeDatabaseBinary(db);
   ASSERT_TRUE(bytes.ok());
   auto restored = DeserializeDatabaseBinary(*bytes);
-  ASSERT_TRUE(restored.ok());
+  ASSERT_TRUE(restored.ok()) << restored.status();
+  EXPECT_TRUE((*(*restored)->GetAtomType("t"))->occurrence().Contains(*a));
+  EXPECT_EQ((*(*restored)->GetAtomType("t"))->occurrence().size(), 1u);
   // A fresh insert must not resurrect the deleted id.
   auto fresh = (*restored)->InsertAtom("t", {});
   ASSERT_TRUE(fresh.ok());
@@ -194,8 +196,12 @@ TEST(BinaryCodecTest, NonFiniteDoublesAreBitExact) {
   ASSERT_TRUE(db.DefineAtomType("t", std::move(s)).ok());
   const double cases[] = {std::numeric_limits<double>::quiet_NaN(),
                           std::numeric_limits<double>::infinity(),
-                          -std::numeric_limits<double>::infinity(), -0.0,
-                          0.1};
+                          -std::numeric_limits<double>::infinity(),
+                          -0.0,
+                          0.1,
+                          std::numeric_limits<double>::denorm_min(),
+                          std::numeric_limits<double>::max(),
+                          -std::numeric_limits<double>::min()};
   for (double d : cases) ASSERT_TRUE(db.InsertAtom("t", {Value(d)}).ok());
 
   auto bytes = SerializeDatabaseBinary(db);
@@ -213,6 +219,32 @@ TEST(BinaryCodecTest, NonFiniteDoublesAreBitExact) {
       EXPECT_EQ(std::signbit(got), std::signbit(cases[i]));
     }
   }
+}
+
+TEST(BinaryCodecTest, AllValueTypesRoundTrip) {
+  Database db("tricky name with spaces");
+  Schema s;
+  ASSERT_TRUE(s.AddAttribute("i", DataType::kInt64).ok());
+  ASSERT_TRUE(s.AddAttribute("d", DataType::kDouble).ok());
+  ASSERT_TRUE(s.AddAttribute("s", DataType::kString).ok());
+  ASSERT_TRUE(s.AddAttribute("b", DataType::kBool).ok());
+  ASSERT_TRUE(db.DefineAtomType("t", std::move(s)).ok());
+  const std::string hostile = "line\nbreak %25 tab\t 'quote' S I N D";
+  ASSERT_TRUE(db.InsertAtom("t", {Value(int64_t{-42}), Value(0.1),
+                                  Value(hostile), Value(false)})
+                  .ok());
+  ASSERT_TRUE(db.InsertAtom("t", {Value(), Value(), Value(), Value()}).ok());
+
+  auto clone = CloneDatabase(db);
+  ASSERT_TRUE(clone.ok()) << clone.status();
+  EXPECT_EQ((*clone)->name(), "tricky name with spaces");
+  const auto& atoms = (*(*clone)->GetAtomType("t"))->occurrence().atoms();
+  ASSERT_EQ(atoms.size(), 2u);
+  EXPECT_EQ(atoms[0].values[0].AsInt64(), -42);
+  EXPECT_DOUBLE_EQ(atoms[0].values[1].AsDouble(), 0.1);
+  EXPECT_EQ(atoms[0].values[2].AsString(), hostile);
+  EXPECT_EQ(atoms[0].values[3].AsBool(), false);
+  for (const Value& v : atoms[1].values) EXPECT_TRUE(v.is_null());
 }
 
 TEST(BinaryCodecTest, RejectsCorruptInput) {
@@ -266,6 +298,25 @@ TEST(BinaryCodecTest, CloneDatabaseDerivesIdenticalMolecules) {
   for (size_t i = 0; i < original->size(); ++i) {
     EXPECT_EQ(reference::CanonicalKey((*original)[i]),
               reference::CanonicalKey((*rederived)[i]));
+  }
+}
+
+TEST(BinaryCodecTest, CloneIsIndependent) {
+  Database db("BOM");
+  auto ids = workload::BuildCarBom(db);
+  ASSERT_TRUE(ids.ok());
+  auto clone = CloneDatabase(db);
+  ASSERT_TRUE(clone.ok());
+  // Mutating the clone leaves the original untouched.
+  ASSERT_TRUE((*clone)->DeleteAtom("part", (*ids)["bolt"]).ok());
+  EXPECT_EQ((*clone)->total_atom_count(), 4u);
+  EXPECT_EQ(db.total_atom_count(), 5u);
+  EXPECT_EQ((*db.GetLinkType("composition"))->occurrence().size(), 5u);
+  // Fresh ids in the clone do not collide with preserved ids.
+  auto fresh = (*clone)->InsertAtom("part", {Value("new"), Value(int64_t{2})});
+  ASSERT_TRUE(fresh.ok());
+  for (const Atom& atom : (*db.GetAtomType("part"))->occurrence().atoms()) {
+    EXPECT_NE(atom.id, *fresh);
   }
 }
 

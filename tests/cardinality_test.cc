@@ -3,8 +3,8 @@
 #include "catalog/link_type.h"
 #include "er/er_model.h"
 #include "mql/session.h"
+#include "storage/binary_codec.h"
 #include "storage/database.h"
-#include "storage/serializer.h"
 
 namespace mad {
 namespace {

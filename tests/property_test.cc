@@ -13,7 +13,7 @@
 #include "molecule/operations.h"
 #include "molecule/propagation.h"
 #include "molecule/recursive.h"
-#include "storage/serializer.h"
+#include "storage/binary_codec.h"
 #include "support/canonical_key.h"
 #include "support/molecule_validator.h"
 #include "workload/bom.h"
@@ -192,7 +192,7 @@ TEST_P(MoleculeLawTest, PropagationPreservesDatabaseConsistency) {
 }
 
 TEST_P(MoleculeLawTest, SerializationPreservesDerivation) {
-  // Clone via the MADDB text format; the clone derives an identical
+  // Clone via the binary checkpoint image; the clone derives an identical
   // molecule set and passes the consistency audit.
   auto clone = CloneDatabase(*db_);
   ASSERT_TRUE(clone.ok()) << clone.status();

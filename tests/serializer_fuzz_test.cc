@@ -1,6 +1,6 @@
-// Property test: no byte-level corruption of a serialized database — text
-// or binary — may ever crash the readers or invoke UB; they must either
-// parse successfully or return a clean error Status. Run under MAD_SANITIZE
+// Property test: no byte-level corruption of a checkpoint image or a WAL
+// may ever crash the readers or invoke UB; they must either parse
+// successfully or return a clean error Status. Run under MAD_SANITIZE
 // (ASan/UBSan) this pins the "never crash on hostile input" contract down.
 
 #include <gtest/gtest.h>
@@ -10,7 +10,6 @@
 
 #include "fuzz_rounds.h"
 #include "storage/binary_codec.h"
-#include "storage/serializer.h"
 #include "storage/wal.h"
 #include "workload/geo.h"
 
@@ -19,15 +18,6 @@ namespace {
 
 /// Deterministic seed: the fuzz corpus is reproducible run to run.
 constexpr uint32_t kSeed = 0xC0FFEE;
-
-std::string BuildTextImage() {
-  Database db("GEO_DB");
-  EXPECT_TRUE(workload::BuildFigure4GeoDatabase(db).ok());
-  EXPECT_TRUE(db.CreateIndex("state", "name").ok());
-  auto text = SerializeDatabase(db);
-  EXPECT_TRUE(text.ok());
-  return *text;
-}
 
 std::string BuildBinaryImage() {
   Database db("GEO_DB");
@@ -60,33 +50,6 @@ std::string Mutate(const std::string& image, std::mt19937& rng,
     }
   }
   return out;
-}
-
-TEST(SerializerFuzzTest, TextReaderNeverCrashesOnMutatedInput) {
-  const std::string image = BuildTextImage();
-  std::mt19937 rng(kSeed);
-  std::uniform_int_distribution<int> mutation_count(1, 16);
-  const int rounds = testing::FuzzRounds(2000);
-  for (int round = 0; round < rounds; ++round) {
-    std::string mutated = Mutate(image, rng, mutation_count(rng));
-    auto result = DeserializeDatabase(mutated);
-    if (result.ok()) {
-      // Whatever parsed must be internally consistent.
-      EXPECT_TRUE((*result)->CheckConsistency().ok());
-    } else {
-      EXPECT_FALSE(result.status().message().empty());
-    }
-  }
-}
-
-TEST(SerializerFuzzTest, TextReaderSurvivesTruncations) {
-  const std::string image = BuildTextImage();
-  for (size_t cut = 0; cut <= image.size(); ++cut) {
-    auto result = DeserializeDatabase(image.substr(0, cut));
-    if (result.ok()) {
-      EXPECT_TRUE((*result)->CheckConsistency().ok());
-    }
-  }
 }
 
 TEST(SerializerFuzzTest, BinaryReaderNeverCrashesOnMutatedInput) {

@@ -335,6 +335,11 @@ TEST_F(SnapshotReuseTest, ConcurrentWriterNeverMakesReuseStale) {
        {"edge-point", "edge", "point", false}});
   ASSERT_TRUE(md.ok()) << md.status();
 
+  // The reader counts the SELECT pairs it finishes. Every third write, the
+  // writer waits for two more: the second of them starts after the write
+  // and ends before the next one, so it reads an unchanged head and must
+  // reuse the kept snapshot at least for its second SELECT.
+  std::atomic<size_t> pairs{0};
   std::atomic<bool> done{false};
   std::thread writer([&] {
     Session session(&db_);
@@ -356,6 +361,10 @@ TEST_F(SnapshotReuseTest, ConcurrentWriterNeverMakesReuseStale) {
       }
       auto result = session.Execute(statement);
       EXPECT_TRUE(result.ok()) << statement << ": " << result.status();
+      if (i % 3 == 2) {
+        const size_t after_write = pairs.load();
+        while (pairs.load() < after_write + 2) std::this_thread::yield();
+      }
       std::this_thread::sleep_for(std::chrono::microseconds(300));
     }
     done = true;
@@ -371,6 +380,7 @@ TEST_F(SnapshotReuseTest, ConcurrentWriterNeverMakesReuseStale) {
       seen.emplace_back(result->epoch, Canonical(*result));
       reused += DeriveNote(*result) == "0 atoms admitted" ? 1 : 0;
     }
+    ++pairs;
   }
   writer.join();
   EXPECT_GT(reused, 0u);
