@@ -95,12 +95,14 @@ bool HandleMetaCommand(const std::string& line,
   } else if (cmd == "\\spec") {
     std::cout << mad::text::FormatDatabaseSpec(current);
   } else if (cmd == "\\save" && words.size() == 2) {
+    // Build the image before opening the file: a refused image must leave
+    // the file as it was.
     auto image = mad::SerializeDatabaseBinary(current);
-    std::ofstream out(words[1], std::ios::binary);
     if (!image.ok()) {
       std::cout << image.status() << "\n";
-    } else if (!out.write(image->data(),
-                          static_cast<std::streamsize>(image->size()))
+    } else if (!std::ofstream(words[1], std::ios::binary)
+                    .write(image->data(),
+                           static_cast<std::streamsize>(image->size()))
                     .flush()) {
       std::cout << "cannot write " << words[1] << "\n";
     } else {

@@ -21,8 +21,7 @@ namespace mql {
 
 namespace {
 
-/// Monotone id shared by every Session in the process, so labeled metric
-/// names never collide across concurrently-live sessions.
+/// Monotone id shared by every Session in the process.
 std::atomic<uint64_t> g_next_session_id{1};
 
 /// Root ids the plan's seed fans the derivation out over, or nullopt for
@@ -250,11 +249,7 @@ Result<MoleculeSet> Session::Derive(
 Session::Session(Database* db, SessionOptions options)
     : db_(db),
       options_(options),
-      session_id_(g_next_session_id.fetch_add(1, std::memory_order_relaxed)),
-      session_metrics_(Registry::Global(),
-                       "mql.session." + std::to_string(session_id_) + ".") {
-  session_statements_ = &session_metrics_.GetCounter("statements");
-  session_latency_ = &session_metrics_.GetHistogram("statement_us");
+      session_id_(g_next_session_id.fetch_add(1, std::memory_order_relaxed)) {
   if (options_.pin_snapshot) RefreshSnapshotPin();
 }
 
@@ -331,16 +326,13 @@ Result<std::vector<QueryResult>> Session::ExecuteScript(
 }
 
 Result<QueryResult> Session::Run(Statement statement) {
-  // Process-wide aggregates (stable names, pinned by dashboards and tests)
-  // plus this session's labeled handles — per-session observability was
-  // impossible when these were only function-local statics.
+  // One count and one timer per statement a session runs, in process or
+  // served.
   static Counter& statements = Registry::Global().GetCounter("mql.statements");
   static Histogram& latency =
       Registry::Global().GetHistogram("mql.statement_us");
   statements.Increment();
-  session_statements_->Increment();
   ScopedTimer timer(latency);
-  ScopedTimer session_timer(*session_latency_);
 
   Result<QueryResult> result = [&]() -> Result<QueryResult> {
     if (!options_.trace || CurrentTrace() != nullptr) {

@@ -133,8 +133,7 @@ class Session {
   /// True while a BEGIN is open and uncommitted.
   bool in_transaction() const { return txn_ != nullptr; }
 
-  /// Process-unique id of this session; prefixes its labeled metrics
-  /// ("mql.session.<id>.statements" etc.).
+  /// Process-unique id of this session; mad_server's HELLO_OK carries it.
   uint64_t session_id() const { return session_id_; }
 
  private:
@@ -200,14 +199,6 @@ class Session {
   /// Database.
   std::unique_ptr<DurableDatabase> durable_;
   uint64_t session_id_;
-  /// Per-session labeled metric handles ("mql.session.<id>.*"), registered
-  /// through an evictable scope that erases the labels again on session
-  /// close, so session churn cannot grow the registry without bound. The
-  /// process-wide "mql.statements" / "mql.statement_us" aggregates remain
-  /// alongside (observability dashboards and tests pin those names).
-  ScopedMetrics session_metrics_;
-  Counter* session_statements_;
-  Histogram* session_latency_;
   /// The cross-statement read pin of SET PIN SNAPSHOT. Declared after
   /// durable_ so it releases against a still-live database on destruction;
   /// RunOpen releases it by hand before swapping databases.

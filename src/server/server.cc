@@ -43,15 +43,10 @@ uint64_t ElapsedUs(Clock::time_point since) {
 /// `write_mu` serializes frame writes from either side. Queue fields are
 /// guarded by the server's exec_mu_ (see the *Locked helpers).
 struct MadServer::Connection {
-  Connection(uint64_t id_in, int fd_in, Database* db,
+  Connection(int fd_in, Database* db,
              const mql::SessionOptions& session_options)
-      : id(id_in),
-        fd(fd_in),
-        session(std::make_unique<mql::Session>(db, session_options)),
-        metrics(Registry::Global(),
-                "server.conn." + std::to_string(id_in) + "."),
-        statements(&metrics.GetCounter("statements")),
-        queue_depth(&metrics.GetGauge("queue_depth")) {}
+      : fd(fd_in),
+        session(std::make_unique<mql::Session>(db, session_options)) {}
 
   /// The connection owns its socket: the fd is closed only when the last
   /// shared_ptr holder lets go. Closing it earlier (as the accept-loop reap
@@ -62,15 +57,8 @@ struct MadServer::Connection {
     if (fd >= 0) ::close(fd);
   }
 
-  const uint64_t id;
   const int fd;
   std::unique_ptr<mql::Session> session;
-  /// Evictable per-connection labels ("server.conn.<id>.*"): released when
-  /// the connection is destroyed, so connection churn cannot grow the
-  /// metrics registry without bound.
-  ScopedMetrics metrics;
-  Counter* statements;
-  Gauge* queue_depth;
 
   Mutex write_mu;
   std::atomic<bool> dead{false};
@@ -198,8 +186,7 @@ void MadServer::AcceptLoop() {
         ::close(fd);
         continue;
       }
-      conn = std::make_shared<Connection>(next_connection_id_++, fd, db_,
-                                          options_.session_options);
+      conn = std::make_shared<Connection>(fd, db_, options_.session_options);
       connections_.push_back(conn);
     }
     connections_accepted_->Increment();
@@ -354,7 +341,6 @@ const char* MadServer::TryAdmitLocked(const std::shared_ptr<Connection>& conn,
   }
   conn->queue.emplace_back(request_id, text);
   ++global_inflight_;
-  conn->queue_depth->Set(static_cast<int64_t>(conn->queue.size()));
   if (!conn->scheduled && !conn->running) {
     conn->scheduled = true;
     runnable_.push_back(conn);
@@ -371,7 +357,6 @@ bool MadServer::DequeueLocked(Connection& conn, uint64_t* request_id,
   *request_id = conn.queue.front().first;
   *text = std::move(conn.queue.front().second);
   conn.queue.pop_front();
-  conn.queue_depth->Set(static_cast<int64_t>(conn.queue.size()));
   return true;
 }
 
@@ -421,7 +406,6 @@ Message MadServer::RunStatement(const std::shared_ptr<Connection>& conn,
                                 uint64_t request_id, const std::string& text) {
   Message response;
   response.request_id = request_id;
-  conn->statements->Increment();
 
   // Server sessions share the one database this server was given; OPEN
   // would swap this session alone onto a private durable store. The one

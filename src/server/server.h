@@ -174,7 +174,6 @@ class MadServer {
   mutable Mutex conns_mu_;
   std::vector<std::shared_ptr<Connection>> connections_
       MAD_GUARDED_BY(conns_mu_);
-  uint64_t next_connection_id_ MAD_GUARDED_BY(conns_mu_) = 1;
 
   // Server-wide metrics (permanent registry entries).
   Counter* connections_accepted_;

@@ -216,6 +216,13 @@ void AppendSection(SectionTag tag, const ByteWriter& payload,
 }  // namespace
 
 Result<std::string> SerializeDatabaseBinary(const Database& db) {
+  // Loading an image of an open transaction's uncommitted versions would
+  // bring back writes no COMMIT made.
+  if (db.HasActiveTransactions()) {
+    return Status::ConstraintViolation(
+        "cannot write a database image while transactions are open; commit "
+        "or roll back first");
+  }
   std::string out;
   out.append(kMagic, sizeof(kMagic));
   {

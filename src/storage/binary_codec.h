@@ -78,6 +78,10 @@ class ByteReader {
 /// insertion order, links in storage order. Re-serializing a deserialized
 /// database yields bit-identical output, which the crash-recovery tests use
 /// to prove state equivalence.
+///
+/// Returns ConstraintViolation while `db` has an open transaction: the head
+/// holds its uncommitted versions. Callers that share `db` with writers hold
+/// its reader lock, so none can begin writing while the image is taken.
 Result<std::string> SerializeDatabaseBinary(const Database& db);
 
 /// Reads a checkpoint produced by SerializeDatabaseBinary. Trailing bytes

@@ -164,14 +164,6 @@ DurableDatabase::~DurableDatabase() {
 }
 
 Status DurableDatabase::Checkpoint() {
-  // The binary codec serializes the head, which inside a transaction holds
-  // uncommitted versions; a checkpoint taken then could resurrect them after
-  // a crash even though no COMMIT was ever logged.
-  if (db_->HasActiveTransactions()) {
-    return Status::ConstraintViolation(
-        "cannot checkpoint while transactions are open; commit or roll back "
-        "first");
-  }
   ScopedSpan span("checkpoint", dir_);
   static Counter& checkpoints =
       Registry::Global().GetCounter("storage.checkpoints");
@@ -183,9 +175,10 @@ Status DurableDatabase::Checkpoint() {
 
   // The shared database lock freezes a consistent cut: no mutator (and
   // hence no listener append) can interleave between the WAL sync and the
-  // serialized image. state_mu_ then stays held through the rotation so a
-  // mutation committed after the cut lands in the *new* generation's WAL,
-  // never the one about to be superseded.
+  // serialized image, and no transaction can write between the image's
+  // check that none is open and the image itself. state_mu_ then stays held
+  // through the rotation so a mutation committed after the cut lands in the
+  // *new* generation's WAL, never the one about to be superseded.
   ReaderLock read_lock(db_->mutex());
   MutexLock state(state_mu_);
   MAD_RETURN_IF_ERROR(append_error_);

@@ -379,8 +379,7 @@ void AppendSpanLine(const TraceSpan& span, size_t depth, std::string* out) {
   out->append(2 * depth, ' ');
   *out += span.name;
   if (!span.note.empty()) *out += " [" + span.note + "]";
-  *out += "  " + FormatNs(span.duration_ns) + "  [t" +
-          std::to_string(span.thread) + "]" + SpanRows(span) + "\n";
+  *out += "  " + FormatNs(span.duration_ns) + SpanRows(span) + "\n";
 }
 
 void AppendSpanTree(const std::vector<TraceSpan>& spans,
@@ -482,8 +481,7 @@ std::string QueryTraceToJson(const QueryTrace& trace) {
            "\", \"start_ns\": " + std::to_string(span.start_ns) +
            ", \"duration_ns\": " + std::to_string(span.duration_ns) +
            ", \"rows_in\": " + std::to_string(span.rows_in) +
-           ", \"rows_out\": " + std::to_string(span.rows_out) +
-           ", \"thread\": " + std::to_string(span.thread) + "}";
+           ", \"rows_out\": " + std::to_string(span.rows_out) + "}";
   }
   out += "]}";
   return out;
@@ -506,7 +504,7 @@ std::string FormatMetricsSnapshot(const MetricsSnapshot& snapshot) {
         break;
       case MetricSample::Kind::kHistogram:
         out += "count " + std::to_string(s.count) + ", mean " +
-               FormatNs(s.count == 0 ? 0 : (s.sum_us / s.count) * 1000) +
+               FormatNs(s.count == 0 ? 0 : s.sum_us * 1000 / s.count) +
                ", p50 <= " + FormatNs(s.p50_us * 1000) + ", p99 <= " +
                FormatNs(s.p99_us * 1000) + ", max " +
                FormatNs(s.max_us * 1000);

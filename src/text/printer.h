@@ -106,9 +106,9 @@ std::string FormatEpochStats(const EpochStats& stats,
 /// The operator span tree of one traced statement, indented by nesting:
 ///
 ///   trace: 3 spans, total 135.5 us
-///     select  133.8 us  [t0]  rows out 1
-///       sigma [(a.tag = 'p')]  44.3 us  [t0]  2 -> 1
-///         derive [5 atoms admitted]  19.7 us  [t0]  2 -> 1
+///     select  133.8 us  rows out 1
+///       sigma [(a.tag = 'p')]  44.3 us  2 -> 1
+///         derive [5 atoms admitted]  19.7 us  2 -> 1
 ///
 /// Long runs of same-named siblings (e.g. thousands of wal.append spans)
 /// are collapsed into the first occurrence plus an aggregate line.
@@ -116,7 +116,7 @@ std::string FormatQueryTrace(const QueryTrace& trace);
 
 /// Stable machine-readable form:
 /// {"total_ns": N, "spans": [{"id", "parent", "name", "note", "start_ns",
-/// "duration_ns", "rows_in", "rows_out", "thread"}, ...]} — spans in start
+/// "duration_ns", "rows_in", "rows_out"}, ...]} — spans in start
 /// order, parent always before child.
 std::string QueryTraceToJson(const QueryTrace& trace);
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 
 namespace mad {
 
@@ -38,7 +39,9 @@ void Histogram::Reset() {
 uint64_t Histogram::ApproximateQuantileUs(double quantile) const {
   uint64_t total = count();
   if (total == 0) return 0;
-  uint64_t target = static_cast<uint64_t>(quantile * static_cast<double>(total));
+  // Nearest rank: the smallest rank covering `quantile` of the observations.
+  uint64_t target =
+      static_cast<uint64_t>(std::ceil(quantile * static_cast<double>(total)));
   if (target < 1) target = 1;
   uint64_t cumulative = 0;
   for (size_t i = 0; i < kBuckets; ++i) {
@@ -58,76 +61,33 @@ Registry& Registry::Global() {
 }
 
 template <typename T>
-T& Registry::GetLocked(std::map<std::string, Entry<T>>& instruments,
-                       const std::string& name, uint64_t scope_id) {
-  auto it = instruments.find(name);
-  if (it == instruments.end()) {
-    Entry<T> entry;
-    entry.instrument = std::make_unique<T>();
-    entry.scope_id = scope_id;
-    it = instruments.emplace(name, std::move(entry)).first;
-  }
-  return *it->second.instrument;
+T& Registry::GetLocked(std::map<std::string, std::unique_ptr<T>>& instruments,
+                       const std::string& name) {
+  std::unique_ptr<T>& instrument = instruments[name];
+  if (instrument == nullptr) instrument = std::make_unique<T>();
+  return *instrument;
 }
 
 Counter& Registry::GetCounter(const std::string& name) {
   MutexLock lock(mu_);
-  return GetLocked(counters_, name, 0);
+  return GetLocked(counters_, name);
 }
 
 Gauge& Registry::GetGauge(const std::string& name) {
   MutexLock lock(mu_);
-  return GetLocked(gauges_, name, 0);
+  return GetLocked(gauges_, name);
 }
 
 Histogram& Registry::GetHistogram(const std::string& name) {
   MutexLock lock(mu_);
-  return GetLocked(histograms_, name, 0);
-}
-
-Counter& Registry::GetScopedCounter(uint64_t scope_id,
-                                    const std::string& name) {
-  MutexLock lock(mu_);
-  return GetLocked(counters_, name, scope_id);
-}
-
-Gauge& Registry::GetScopedGauge(uint64_t scope_id, const std::string& name) {
-  MutexLock lock(mu_);
-  return GetLocked(gauges_, name, scope_id);
-}
-
-Histogram& Registry::GetScopedHistogram(uint64_t scope_id,
-                                        const std::string& name) {
-  MutexLock lock(mu_);
-  return GetLocked(histograms_, name, scope_id);
-}
-
-uint64_t Registry::NewScopeId() {
-  MutexLock lock(mu_);
-  return next_scope_id_++;
-}
-
-void Registry::ReleaseScope(uint64_t scope_id) {
-  MutexLock lock(mu_);
-  auto erase_scope = [scope_id](auto& instruments) {
-    for (auto it = instruments.begin(); it != instruments.end();) {
-      if (it->second.scope_id == scope_id) {
-        it = instruments.erase(it);
-      } else {
-        ++it;
-      }
-    }
-  };
-  erase_scope(counters_);
-  erase_scope(gauges_);
-  erase_scope(histograms_);
+  return GetLocked(histograms_, name);
 }
 
 void Registry::Reset() {
   MutexLock lock(mu_);
-  for (auto& [name, c] : counters_) c.instrument->Reset();
-  for (auto& [name, g] : gauges_) g.instrument->Reset();
-  for (auto& [name, h] : histograms_) h.instrument->Reset();
+  for (auto& [name, c] : counters_) c->Reset();
+  for (auto& [name, g] : gauges_) g->Reset();
+  for (auto& [name, h] : histograms_) h->Reset();
 }
 
 size_t Registry::instrument_count() const {
@@ -144,25 +104,25 @@ MetricsSnapshot Registry::Snapshot() const {
     MetricSample s;
     s.kind = MetricSample::Kind::kCounter;
     s.name = name;
-    s.value = static_cast<int64_t>(c.instrument->value());
+    s.value = static_cast<int64_t>(c->value());
     snapshot.samples.push_back(std::move(s));
   }
   for (const auto& [name, g] : gauges_) {
     MetricSample s;
     s.kind = MetricSample::Kind::kGauge;
     s.name = name;
-    s.value = g.instrument->value();
+    s.value = g->value();
     snapshot.samples.push_back(std::move(s));
   }
   for (const auto& [name, h] : histograms_) {
     MetricSample s;
     s.kind = MetricSample::Kind::kHistogram;
     s.name = name;
-    s.count = h.instrument->count();
-    s.sum_us = h.instrument->sum_us();
-    s.max_us = h.instrument->max_us();
-    s.p50_us = h.instrument->ApproximateQuantileUs(0.5);
-    s.p99_us = h.instrument->ApproximateQuantileUs(0.99);
+    s.count = h->count();
+    s.sum_us = h->sum_us();
+    s.max_us = h->max_us();
+    s.p50_us = h->ApproximateQuantileUs(0.5);
+    s.p99_us = h->ApproximateQuantileUs(0.99);
     snapshot.samples.push_back(std::move(s));
   }
   std::sort(snapshot.samples.begin(), snapshot.samples.end(),

@@ -28,14 +28,8 @@ namespace mad {
 /// Lookup (`GetCounter` etc.) takes a mutex over a std::map whose nodes never
 /// move and are never erased — `Reset()` zeroes values but keeps every
 /// registered instrument alive, precisely so cached references stay valid.
-///
-/// Short-lived label sets (per-session, per-connection) must NOT go through
-/// the permanent lookup: a name minted per session would stay registered
-/// forever and the registry would grow without bound under churn. They
-/// register through a ScopedMetrics owner instead, which erases its
-/// instruments again when it dies. Both kinds share one namespace: a plain
-/// Get* on a name a live scope registered returns that scope's instrument
-/// (valid only while the scope lives — never cache it in a static).
+/// Because nothing is ever erased, instrument names are fixed strings: a
+/// name built from a session or connection id would stay registered forever.
 
 /// Monotonic event count (rows scanned, fsyncs issued, ...).
 class Counter {
@@ -110,8 +104,6 @@ struct MetricsSnapshot {
   std::vector<MetricSample> samples;
 };
 
-class ScopedMetrics;
-
 class Registry {
  public:
   /// The process-wide registry used by all madlib instrumentation.
@@ -120,9 +112,7 @@ class Registry {
   /// Returns the instrument registered under `name`, creating it on first
   /// use. References to instruments created this way stay valid for the
   /// registry's lifetime; names are namespaced with dots, e.g.
-  /// "derivation.links_scanned". (If `name` was first registered by a live
-  /// ScopedMetrics, its instrument is returned instead and only lives as
-  /// long as that scope.)
+  /// "derivation.links_scanned".
   Counter& GetCounter(const std::string& name);
   Gauge& GetGauge(const std::string& name);
   Histogram& GetHistogram(const std::string& name);
@@ -133,83 +123,29 @@ class Registry {
 
   MetricsSnapshot Snapshot() const;
 
-  /// Number of registered instruments (permanent + scoped); the churn
-  /// regression tests pin this down.
+  /// Number of registered instruments; the churn regression tests pin this
+  /// down.
   size_t instrument_count() const;
 
  private:
-  friend class ScopedMetrics;
-
-  /// Scope id 0 marks a permanent instrument; ids > 0 belong to a live
-  /// ScopedMetrics and are erased when it dies. An instrument created
-  /// through the permanent path never becomes scoped (and vice versa: the
-  /// first registration wins, later lookups of either kind return it).
   template <typename T>
-  struct Entry {
-    std::unique_ptr<T> instrument;
-    uint64_t scope_id = 0;
-  };
+  T& GetLocked(std::map<std::string, std::unique_ptr<T>>& instruments,
+               const std::string& name) MAD_REQUIRES(mu_);
 
-  template <typename T>
-  T& GetLocked(std::map<std::string, Entry<T>>& instruments,
-               const std::string& name, uint64_t scope_id) MAD_REQUIRES(mu_);
-
-  Counter& GetScopedCounter(uint64_t scope_id, const std::string& name);
-  Gauge& GetScopedGauge(uint64_t scope_id, const std::string& name);
-  Histogram& GetScopedHistogram(uint64_t scope_id, const std::string& name);
-  uint64_t NewScopeId();
-  void ReleaseScope(uint64_t scope_id);
-
-  /// Registration mutex: guards only the instrument *maps* (lookup, scope
-  /// bookkeeping), never the hot update path — instruments themselves are
-  /// atomics. Leaf lock: nothing else is acquired while it is held.
+  /// Registration mutex: guards only the instrument *maps*, never the hot
+  /// update path — instruments themselves are atomics. Leaf lock: nothing
+  /// else is acquired while it is held.
   mutable Mutex mu_;
-  uint64_t next_scope_id_ MAD_GUARDED_BY(mu_) = 1;
   // std::map + unique_ptr values: instrument addresses never move on insert
-  // and survive until their entry is erased (never, for permanent ones).
-  std::map<std::string, Entry<Counter>> counters_ MAD_GUARDED_BY(mu_);
-  std::map<std::string, Entry<Gauge>> gauges_ MAD_GUARDED_BY(mu_);
-  std::map<std::string, Entry<Histogram>> histograms_ MAD_GUARDED_BY(mu_);
+  // and no entry is ever erased.
+  std::map<std::string, std::unique_ptr<Counter>> counters_ MAD_GUARDED_BY(mu_);
+  std::map<std::string, std::unique_ptr<Gauge>> gauges_ MAD_GUARDED_BY(mu_);
+  std::map<std::string, std::unique_ptr<Histogram>> histograms_
+      MAD_GUARDED_BY(mu_);
 };
 
-/// Owner of a set of evictable instruments sharing a name prefix (ending in
-/// '.' by convention: "mql.session.7."). Instruments resolved through a
-/// ScopedMetrics appear in snapshots exactly like permanent ones, but are
-/// erased from the registry when the owner is destroyed — so per-session or
-/// per-connection labels cannot grow the registry without bound under
-/// churn. References returned by Get* are valid for the owner's lifetime
-/// only; never cache them in function-local statics.
-class ScopedMetrics {
- public:
-  ScopedMetrics(Registry& registry, std::string prefix)
-      : registry_(&registry),
-        prefix_(std::move(prefix)),
-        scope_id_(registry.NewScopeId()) {}
-  ~ScopedMetrics() { registry_->ReleaseScope(scope_id_); }
-
-  ScopedMetrics(const ScopedMetrics&) = delete;
-  ScopedMetrics& operator=(const ScopedMetrics&) = delete;
-
-  Counter& GetCounter(const std::string& suffix) {
-    return registry_->GetScopedCounter(scope_id_, prefix_ + suffix);
-  }
-  Gauge& GetGauge(const std::string& suffix) {
-    return registry_->GetScopedGauge(scope_id_, prefix_ + suffix);
-  }
-  Histogram& GetHistogram(const std::string& suffix) {
-    return registry_->GetScopedHistogram(scope_id_, prefix_ + suffix);
-  }
-
-  const std::string& prefix() const { return prefix_; }
-
- private:
-  Registry* registry_;
-  std::string prefix_;
-  uint64_t scope_id_;
-};
-
-/// RAII timer recording its scope's wall time into a histogram (and
-/// optionally adding it to a counter of cumulative microseconds).
+/// RAII timer recording its scope's wall time, in microseconds, as one
+/// observation of a histogram.
 class ScopedTimer {
  public:
   explicit ScopedTimer(Histogram& hist)

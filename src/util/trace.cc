@@ -1,7 +1,5 @@
 #include "util/trace.h"
 
-#include <functional>
-#include <thread>
 #include <utility>
 
 namespace mad {
@@ -27,22 +25,13 @@ QueryTrace::QueryTrace() : epoch_(std::chrono::steady_clock::now()) {}
 int32_t QueryTrace::BeginSpan(const char* name, std::string note,
                               int32_t parent) {
   uint64_t start = NsSince(epoch_);
-  uint64_t tid = std::hash<std::thread::id>{}(std::this_thread::get_id());
   MutexLock lock(mu_);
-  uint32_t thread_index = 0;
-  while (thread_index < thread_ids_.size() &&
-         thread_ids_[thread_index] != tid) {
-    ++thread_index;
-  }
-  if (thread_index == thread_ids_.size()) thread_ids_.push_back(tid);
-
   TraceSpan span;
   span.id = static_cast<int32_t>(spans_.size());
   span.parent = parent;
   span.name = name;
   span.note = std::move(note);
   span.start_ns = start;
-  span.thread = thread_index;
   spans_.push_back(std::move(span));
   return spans_.back().id;
 }

@@ -14,13 +14,13 @@ namespace mad {
 
 /// Per-query operator tracing: while a QueryTrace is installed (TraceScope),
 /// instrumented code opens ScopedSpans that record a tree of timed operator
-/// spans — derivation fan-out, algebra operators, molecule ops, recursive
-/// expansion rounds, WAL appends/fsyncs — each with wall time, cardinalities
-/// in/out, and the recording thread.
+/// spans — derivation, algebra operators, molecule ops, recursive expansion
+/// rounds, WAL appends/fsyncs — each with wall time and cardinalities in/out.
 ///
 /// The ambient trace is thread-local, so deep call sites (the WAL under a
 /// session statement, an algebra operator under a molecule op) need no API
-/// changes to participate: they see the installing thread's trace. Per-root
+/// changes to participate: they see the installing thread's trace, and a
+/// statement runs on one thread, so every span is recorded by it. Per-root
 /// derivation work deliberately stays span-free (aggregated into
 /// DerivationStats and the metrics registry instead) to keep hot-loop
 /// overhead near zero. When no trace is installed, ScopedSpan construction
@@ -45,8 +45,6 @@ struct TraceSpan {
   /// molecules). -1 = not applicable.
   int64_t rows_in = -1;
   int64_t rows_out = -1;
-  /// Dense per-trace thread index ("t0", "t1", ...) — t0 is the installer.
-  uint32_t thread = 0;
 };
 
 /// A tree of spans recorded during one statement's execution.
@@ -91,8 +89,6 @@ class QueryTrace {
   mutable Mutex mu_;
   std::chrono::steady_clock::time_point epoch_;
   std::vector<TraceSpan> spans_ MAD_GUARDED_BY(mu_);
-  /// Hashed std::thread::id -> dense index.
-  std::vector<uint64_t> thread_ids_ MAD_GUARDED_BY(mu_);
   uint64_t total_duration_ns_ MAD_GUARDED_BY(mu_) = 0;
 };
 

@@ -320,5 +320,32 @@ TEST(BinaryCodecTest, CloneIsIndependent) {
   }
 }
 
+TEST(BinaryCodecTest, NoImageWhileATransactionIsOpen) {
+  // The head holds an open transaction's uncommitted versions, so an image
+  // taken then would keep writes that are later rolled back.
+  Database db("txn");
+  ASSERT_TRUE(db.DefineAtomType("t", Schema()).ok());
+  auto committed = db.InsertAtom("t", {});
+  ASSERT_TRUE(committed.ok());
+  std::unique_ptr<Transaction> txn = db.Begin();
+  auto pending = db.InsertAtom("t", {}, txn.get());
+  ASSERT_TRUE(pending.ok());
+
+  auto bytes = SerializeDatabaseBinary(db);
+  ASSERT_FALSE(bytes.ok());
+  EXPECT_EQ(bytes.status().code(), StatusCode::kConstraintViolation);
+  auto refused = CloneDatabase(db);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kConstraintViolation);
+
+  ASSERT_TRUE(txn->Rollback().ok());
+  auto clone = CloneDatabase(db);
+  ASSERT_TRUE(clone.ok()) << clone.status();
+  const AtomStore& atoms = (*(*clone)->GetAtomType("t"))->occurrence();
+  EXPECT_EQ(atoms.size(), 1u);
+  EXPECT_TRUE(atoms.Contains(*committed));
+  EXPECT_FALSE(atoms.Contains(*pending));
+}
+
 }  // namespace
 }  // namespace mad

@@ -65,6 +65,24 @@ class SaveLoadTest(unittest.TestCase):
         # The new atom is #6, not the deleted #5.
         self.assertIn("      links: {<#2, #6>}", second)
 
+    def test_save_inside_a_transaction_is_refused_and_keeps_the_file(self):
+        image = os.path.join(self.dir.name, "db.madb")
+        out = run_shell(
+            "CREATE ATOM TYPE t (x INT64);\n"
+            "INSERT INTO t VALUES (1);\n"
+            f"\\save {image}\n"
+            "BEGIN;\n"
+            "INSERT INTO t VALUES (2);\n"
+            f"\\save {image}\n"
+            "ROLLBACK;\n"
+            f"\\load {image}\n"
+        )
+        self.assertEqual(out.count(f"saved {image}"), 1, out)
+        refused = [line for line in out if line.startswith("ConstraintViolation")]
+        self.assertEqual(len(refused), 1, out)
+        # The refused \save left the first image in place.
+        self.assertEqual(out[-1], f"loaded {image} (1 atoms, 0 links)")
+
     def test_text_image_is_refused(self):
         maddb = os.path.join(self.dir.name, "db.maddb")
         with open(maddb, "w") as f:

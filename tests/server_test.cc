@@ -376,12 +376,66 @@ TEST_F(ServerTest, ShowMetricsReportsServerInstruments) {
   auto reply = client.Query("SHOW METRICS;");
   ASSERT_TRUE(reply.ok()) << reply.status();
   ASSERT_EQ(reply->type, MessageType::kResult) << reply->text;
-  // Server-wide instruments and this very connection's scoped labels both
-  // surface through the one registry.
+  // Server-wide instruments surface through the one registry; no instrument
+  // is kept per connection.
   EXPECT_NE(reply->text.find("server.connections_accepted"),
             std::string::npos);
   EXPECT_NE(reply->text.find("server.statement_us"), std::string::npos);
-  EXPECT_NE(reply->text.find("server.conn."), std::string::npos);
+  EXPECT_EQ(reply->text.find("server.conn."), std::string::npos);
+  EXPECT_TRUE(client.Close().ok());
+}
+
+/// The instrument names of a SHOW METRICS reply, one per table row.
+std::set<std::string> MetricNames(const std::string& table) {
+  std::set<std::string> names;
+  size_t pos = 0;
+  while (pos < table.size()) {
+    size_t end = table.find('\n', pos);
+    if (end == std::string::npos) end = table.size();
+    if (end > pos) names.insert(table.substr(pos, table.find(' ', pos) - pos));
+    pos = end + 1;
+  }
+  return names;
+}
+
+TEST_F(ServerTest, OneInstrumentPerEventAtEachLayer) {
+  StartServer();
+  Client client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server_->port()).ok());
+  // Registers every instrument a SELECT and a SHOW METRICS touch.
+  ASSERT_TRUE(client.Query("SELECT ALL FROM state;").ok());
+  ASSERT_TRUE(client.Query("SHOW METRICS;").ok());
+
+  // The session counts and times the statement once, and the server counts
+  // and times its reply once.
+  Registry& registry = Registry::Global();
+  Counter& statements = registry.GetCounter("mql.statements");
+  Counter& ok = registry.GetCounter("server.statements_ok");
+  Histogram& session_us = registry.GetHistogram("mql.statement_us");
+  Histogram& server_us = registry.GetHistogram("server.statement_us");
+  const uint64_t statements_before = statements.value();
+  const uint64_t ok_before = ok.value();
+  const uint64_t session_us_before = session_us.count();
+  const uint64_t server_us_before = server_us.count();
+  auto reply = client.Query("SELECT ALL FROM state;");
+  ASSERT_TRUE(reply.ok()) << reply.status();
+  ASSERT_EQ(reply->type, MessageType::kResult) << reply->text;
+  EXPECT_EQ(statements.value(), statements_before + 1);
+  EXPECT_EQ(ok.value(), ok_before + 1);
+  EXPECT_EQ(session_us.count(), session_us_before + 1);
+  EXPECT_EQ(server_us.count(), server_us_before + 1);
+
+  // Open connections add no rows to SHOW METRICS.
+  auto one = client.Query("SHOW METRICS;");
+  ASSERT_TRUE(one.ok()) << one.status();
+  std::vector<Client> others(3);
+  for (Client& other : others) {
+    ASSERT_TRUE(other.Connect("127.0.0.1", server_->port()).ok());
+  }
+  auto four = client.Query("SHOW METRICS;");
+  ASSERT_TRUE(four.ok()) << four.status();
+  EXPECT_EQ(MetricNames(four->text), MetricNames(one->text));
+  for (Client& other : others) EXPECT_TRUE(other.Close().ok());
   EXPECT_TRUE(client.Close().ok());
 }
 
@@ -462,15 +516,18 @@ TEST_F(ServerTest, VersionMismatchIsRefused) {
 
 TEST_F(ServerTest, ConnectionChurnReleasesScopedMetrics) {
   StartServer();
-  // Warm up: the first connection materializes the permanent server-wide
-  // instruments.
+  // Warm up: the first connection and its SELECT materialize every
+  // instrument the loop's statements touch.
   {
     Client client;
     ASSERT_TRUE(client.Connect("127.0.0.1", server_->port()).ok());
+    auto reply = client.Query("SELECT ALL FROM state;");
+    ASSERT_TRUE(reply.ok()) << reply.status();
     ASSERT_TRUE(client.Close().ok());
   }
-  // Connection ids grow, so instrument *names* differ per connection; only
-  // scope eviction keeps the registry from growing with churn.
+  // No instrument is named after a connection or its session, so churn
+  // leaves the registry as it was.
+  const size_t before = Registry::Global().instrument_count();
   for (int i = 0; i < 20; ++i) {
     Client client;
     ASSERT_TRUE(client.Connect("127.0.0.1", server_->port()).ok());
@@ -478,18 +535,7 @@ TEST_F(ServerTest, ConnectionChurnReleasesScopedMetrics) {
     ASSERT_TRUE(reply.ok()) << reply.status();
     ASSERT_TRUE(client.Close().ok());
   }
-  // The reaper runs on the accept loop; give it a beat, then require that
-  // no "server.conn." label of a *closed* connection survives.
-  size_t residual = 0;
-  for (int attempt = 0; attempt < 100; ++attempt) {
-    residual = 0;
-    for (const MetricSample& sample : Registry::Global().Snapshot().samples) {
-      if (sample.name.rfind("server.conn.", 0) == 0) ++residual;
-    }
-    if (residual == 0) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-  EXPECT_EQ(residual, 0u);
+  EXPECT_EQ(Registry::Global().instrument_count(), before);
 }
 
 // Regression test for the connection-teardown race: the accept loop used to

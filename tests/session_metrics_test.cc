@@ -1,12 +1,9 @@
-// Regression coverage for per-session metrics. The statement counters used
-// to publish only through function-local static handles ("mql.statements"):
-// process-wide metrics, so one session's count could not be told from
-// another's. Each session now owns labeled handles under
-// "mql.session.<id>.*"; the process-wide aggregates remain alongside.
+// Statement metrics of mql::Session. Every session counts its statements in
+// the one process-wide "mql.statements" counter and times them in
+// "mql.statement_us"; no instrument is registered per session, so opening
+// and closing sessions leaves the registry as it was.
 
 #include <gtest/gtest.h>
-
-#include <string>
 
 #include "mql/session.h"
 #include "util/metrics.h"
@@ -14,10 +11,6 @@
 namespace mad {
 namespace mql {
 namespace {
-
-std::string Prefix(const Session& session) {
-  return "mql.session." + std::to_string(session.session_id()) + ".";
-}
 
 TEST(SessionMetricsTest, SessionsGetDistinctIds) {
   Database db("METRICS");
@@ -30,8 +23,6 @@ TEST(SessionMetricsTest, StatementCountersArePerSessionAndAggregate) {
   Database db("METRICS");
   Session a(&db);
   Session b(&db);
-  Counter& count_a = Registry::Global().GetCounter(Prefix(a) + "statements");
-  Counter& count_b = Registry::Global().GetCounter(Prefix(b) + "statements");
   Counter& global = Registry::Global().GetCounter("mql.statements");
   const uint64_t global_before = global.value();
 
@@ -39,14 +30,8 @@ TEST(SessionMetricsTest, StatementCountersArePerSessionAndAggregate) {
   ASSERT_TRUE(a.Execute("INSERT INTO t VALUES ('x');").ok());
   ASSERT_TRUE(b.Execute("SET TRACE OFF;").ok());
 
-  EXPECT_EQ(count_a.value(), 2u);
-  EXPECT_EQ(count_b.value(), 1u);
-  // The dashboard-pinned process aggregate still counts everything.
+  // The process aggregate counts every session's statements.
   EXPECT_EQ(global.value(), global_before + 3);
-
-  Histogram& lat_a = Registry::Global().GetHistogram(Prefix(a) +
-                                                     "statement_us");
-  EXPECT_EQ(lat_a.count(), 2u);
 }
 
 }  // namespace
